@@ -151,9 +151,9 @@ func TestBatchEndpoint(t *testing.T) {
 		"requests": []map[string]any{
 			{"kind": "sweep", "params": map[string]any{"pfails": manyPfails(s.cfg.MaxGridCells + 1)}},
 			{"kind": "dvfs-explore", "params": map[string]any{"workloads": []string{"bursty-server"},
-				"schemes": []string{"block"}, "policies": []string{"oracle"}, "scale": maxDVFSScale + 1}},
+				"schemes": []string{"block"}, "policies": []string{"oracle"}, "scale": s.limits.DVFSScale + 1}},
 			{"kind": "dvfs-run", "params": map[string]any{"workload": "bursty-server",
-				"policy": "oracle", "scale": maxDVFSScale + 1}},
+				"policy": "oracle", "scale": s.limits.DVFSScale + 1}},
 		},
 	}, &gridResp)
 	for i, r := range gridResp.Results {

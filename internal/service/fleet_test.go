@@ -163,3 +163,17 @@ func TestFleetPostValidation(t *testing.T) {
 		})
 	}
 }
+
+// TestFleetErrorDeterministic: with several negative parameters the
+// 400 names the first in request-struct order, every time — the
+// parameters are checked in a fixed order, never by map iteration.
+func TestFleetErrorDeterministic(t *testing.T) {
+	_, ts := newTestServer(t)
+	for i := 0; i < 50; i++ {
+		var env errorEnvelope
+		resp := getJSON(t, ts.URL+"/v1/fleet?dies=-1&seed=-1", &env)
+		if resp.StatusCode != http.StatusBadRequest || env.Error.Message != "dies -1 negative" {
+			t.Fatalf("attempt %d: status %d message %q, want 400 %q", i, resp.StatusCode, env.Error.Message, "dies -1 negative")
+		}
+	}
+}

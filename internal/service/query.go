@@ -31,25 +31,18 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	t, err := tasks.NewQueryTask(req)
-	if err != nil {
+	if err = s.admit(t, err); err != nil {
 		writeErr(w, http.StatusBadRequest, "%s", err)
 		return
 	}
-	if n := t.GridCells(); n > s.cfg.MaxGridCells {
-		writeErr(w, http.StatusBadRequest, "grid has %d cells, limit %d", n, s.cfg.MaxGridCells)
-		return
-	}
 	if src, ok := s.colstoreSource(t.SweepHash()); ok {
-		s.runTaskTier(w, r, t.WithSource(src), engine.TierInteractive)
+		s.runTask(w, r, t.WithSource(src), engine.TierInteractive)
 		return
 	}
-	if backlog := s.jobs.BatchBacklog(); backlog >= int64(s.cfg.ShedWatermark) {
-		s.shed503(w, ErrCodeOverloaded, map[string]any{
-			"batch_backlog": backlog, "watermark": s.cfg.ShedWatermark,
-		}, "batch tier saturated (%d queued >= watermark %d); retry later", backlog, s.cfg.ShedWatermark)
+	if s.shedBatch(w, "batch tier") {
 		return
 	}
-	s.runTaskTier(w, r, t, engine.TierBatch)
+	s.runTask(w, r, t, engine.TierBatch)
 }
 
 // colstoreDir is where a finished sweep's folded shards live: under the

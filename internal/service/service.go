@@ -199,6 +199,7 @@ type Server struct {
 	mux     *http.ServeMux
 	handler http.Handler
 	limiter *limit.Limiter // nil when rate limiting is disabled
+	limits  tasks.Limits   // checked on every task request, batch items included
 
 	rateLimited atomic.Uint64 // requests answered 429
 	shed        atomic.Uint64 // requests answered 503 by admission control
@@ -221,13 +222,35 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{cfg: cfg, jobs: jobs, eng: eng, mux: http.NewServeMux()}
+	s := &Server{cfg: cfg, jobs: jobs, eng: eng, mux: http.NewServeMux(), limits: tasks.DefaultLimits()}
+	s.limits.GridCells = cfg.MaxGridCells
 	if cfg.RateLimit > 0 {
 		s.limiter = limit.New(cfg.RateLimit, cfg.RateBurst)
 	}
 	s.routes()
 	s.handler = s.withTraffic(s.mux)
 	return s, nil
+}
+
+// taskRoute is one synchronous task-backed endpoint, served by
+// handleTask: its request binds from the query string (GET) or the JSON
+// body (POST) into the kind's request struct — pre-filled with def
+// when the route has defaults of its own — and then takes the path
+// every task request takes: construct → tasks.Check → pool tier →
+// engine.
+type taskRoute struct {
+	method, path, kind string
+	tier               engine.Tier
+	def                any
+}
+
+var taskRoutes = []taskRoute{
+	{"GET", "/v1/capacity", tasks.KindCapacity, engine.TierInteractive, nil},
+	{"GET", "/v1/operating-point", tasks.KindOperatingPoint, engine.TierInteractive, nil},
+	{"GET", "/v1/overhead", tasks.KindOverhead, engine.TierInteractive, nil},
+	{"GET", "/v1/dvfs", tasks.KindDVFSExplore, engine.TierInteractive, tasks.DVFSExploreRequest{Scale: 20_000}},
+	{"GET", "/v1/fleet", tasks.KindFleetSweep, engine.TierInteractive, nil},
+	{"POST", "/v1/sim", tasks.KindSim, engine.TierInteractive, nil},
 }
 
 // routes registers every endpoint plus, per path, a method-less
@@ -241,13 +264,12 @@ func (s *Server) routes() {
 	table := []route{
 		{"GET", "/v1/healthz", s.handleHealthz},
 		{"GET", "/v1/stats", s.handleStats},
-		{"GET", "/v1/capacity", s.handleCapacity},
-		{"GET", "/v1/operating-point", s.handleOperatingPoint},
-		{"GET", "/v1/overhead", s.handleOverhead},
-		{"GET", "/v1/dvfs", s.handleDVFS},
-		{"GET", "/v1/fleet", s.handleFleet},
+	}
+	for _, tr := range taskRoutes {
+		table = append(table, route{tr.method, tr.path, s.handleTask(tr)})
+	}
+	table = append(table, []route{
 		{"POST", "/v1/fleet", s.handleFleetPost},
-		{"POST", "/v1/sim", s.handleSim},
 		{"POST", "/v1/query", s.handleQuery},
 		{"POST", "/v1/batch", s.handleBatch},
 		{"POST", "/v1/sweeps", s.handleSweepPost},
@@ -255,7 +277,7 @@ func (s *Server) routes() {
 		{"GET", "/v1/sweeps/{id}", s.handleSweepGet},
 		{"GET", "/v1/sweeps/{id}/rows", s.handleSweepRows},
 		{"GET", "/v1/sweeps/{id}/stream", s.handleSweepStream},
-	}
+	}...)
 	allowed := map[string][]string{}
 	for _, r := range table {
 		s.mux.HandleFunc(r.method+" "+r.path, r.h)
@@ -458,67 +480,77 @@ func (s *Server) shed503(w http.ResponseWriter, code string, details map[string]
 }
 
 // submitWait runs work on the pool's given tier and waits for it — or
-// for the request context. The work's context is the request context
-// capped by the pool's lifetime, so a disconnected client cancels its
-// compute and a closing pool cancels every request.
-func (s *Server) submitWait(ctx context.Context, tier engine.Tier, work func(context.Context)) error {
+// for the request context — reporting whether it ran. The work's
+// context is the request context capped by the pool's lifetime, so a
+// disconnected client cancels its compute and a closing pool cancels
+// every request. When the work did not run, submitWait has answered:
+// a full queue is shed with 503 + Retry-After, as is a draining pool.
+func (s *Server) submitWait(w http.ResponseWriter, r *http.Request, tier engine.Tier, work func(context.Context)) bool {
 	done := make(chan struct{})
 	err := s.jobs.Pool().SubmitTier(tier, func(poolCtx context.Context) {
-		runCtx, cancel := context.WithCancel(ctx)
+		runCtx, cancel := context.WithCancel(r.Context())
 		defer cancel()
 		stop := context.AfterFunc(poolCtx, cancel)
 		defer stop()
 		work(runCtx)
 		close(done)
 	})
+	if err == nil {
+		select {
+		case <-done:
+			return true
+		case <-r.Context().Done():
+			err = r.Context().Err()
+		}
+	}
+	switch {
+	case errors.Is(err, engine.ErrPoolFull):
+		s.shed503(w, ErrCodeOverloaded, map[string]any{"queue": tier.String()},
+			"%s queue full; retry shortly", tier)
+	case errors.Is(err, engine.ErrPoolDraining):
+		s.shed503(w, ErrCodeDraining, nil, "shutting down; retry against another node")
+	default:
+		writeErr(w, http.StatusServiceUnavailable, "%s", err)
+	}
+	return false
+}
+
+// shedBatch is admission control for new batch-shaped work: once the
+// batch backlog reaches the watermark it answers 503 + Retry-After and
+// reports true.
+func (s *Server) shedBatch(w http.ResponseWriter, what string) bool {
+	backlog := s.jobs.BatchBacklog()
+	if backlog < int64(s.cfg.ShedWatermark) {
+		return false
+	}
+	s.shed503(w, ErrCodeOverloaded, map[string]any{"batch_backlog": backlog, "watermark": s.cfg.ShedWatermark},
+		"%s saturated (%d queued >= watermark %d); retry later", what, backlog, s.cfg.ShedWatermark)
+	return true
+}
+
+// admit is the check every task request passes before it runs: the
+// constructor's error if it had one, else the server's limits.
+func (s *Server) admit(t engine.Task, err error) error {
 	if err != nil {
 		return err
 	}
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+	return tasks.Check(t, s.limits)
 }
 
-// runTask executes one task on the pool's interactive tier through the
+// runTask executes one admitted task on the given pool tier through the
 // engine and writes its stored bytes, with X-Cache reporting which tier
 // answered ("miss" = computed now, "hit" = memory, "disk" = the on-disk
 // store, e.g. after a restart, "inflight" = deduplicated onto a
 // concurrent identical request). Task errors are never cached;
 // bad-input errors answer 400, internal encode failures 500, the
-// requester's own cancellation 503, and a full interactive queue is
-// shed with 503 + Retry-After.
-func (s *Server) runTask(w http.ResponseWriter, r *http.Request, t engine.Task) {
-	s.runTaskTier(w, r, t, engine.TierInteractive)
-}
-
-// runTaskTier is runTask on an explicit pool tier: the query endpoint
-// routes checkpoint-backed (cheap) queries interactively and
-// sweep-computing ones onto the batch tier behind the sweep jobs.
-func (s *Server) runTaskTier(w http.ResponseWriter, r *http.Request, t engine.Task, tier engine.Tier) {
-	queue := "interactive"
-	if tier == engine.TierBatch {
-		queue = "batch"
-	}
+// requester's own cancellation 503, and a full queue is shed with
+// 503 + Retry-After.
+func (s *Server) runTask(w http.ResponseWriter, r *http.Request, t engine.Task, tier engine.Tier) {
 	var (
 		res engine.Result
 		err error
 	)
-	serr := s.submitWait(r.Context(), tier, func(ctx context.Context) {
-		res, err = s.eng.Do(ctx, t)
-	})
-	switch {
-	case errors.Is(serr, engine.ErrPoolFull):
-		s.shed503(w, ErrCodeOverloaded, map[string]any{"queue": queue},
-			"%s queue full; retry shortly", queue)
-		return
-	case errors.Is(serr, engine.ErrPoolDraining):
-		s.shed503(w, ErrCodeDraining, nil, "shutting down; retry against another node")
-		return
-	case serr != nil:
-		writeErr(w, http.StatusServiceUnavailable, "%s", serr)
+	if !s.submitWait(w, r, tier, func(ctx context.Context) { res, err = s.eng.Do(ctx, t) }) {
 		return
 	}
 	switch {
@@ -539,48 +571,6 @@ func (s *Server) runTaskTier(w http.ResponseWriter, r *http.Request, t engine.Ta
 	// another handler's in-flight response.
 	w.Write(res.Bytes)
 	w.Write([]byte{'\n'})
-}
-
-// ---- Query parsing helpers ----
-
-func queryFloat(r *http.Request, name string, def float64) (float64, error) {
-	v := r.URL.Query().Get(name)
-	if v == "" {
-		return def, nil
-	}
-	f, err := strconv.ParseFloat(v, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad %s %q", name, v)
-	}
-	return f, nil
-}
-
-func queryInt(r *http.Request, name string, def int) (int, error) {
-	v := r.URL.Query().Get(name)
-	if v == "" {
-		return def, nil
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil {
-		return 0, fmt.Errorf("bad %s %q", name, v)
-	}
-	return n, nil
-}
-
-// queryInt64 parses a full-range int64 parameter. Seeds go through
-// this, never queryInt: Atoi is platform-int sized, so a 64-bit seed
-// would silently truncate on a 32-bit build and be rejected on any
-// build past math.MaxInt.
-func queryInt64(r *http.Request, name string, def int64) (int64, error) {
-	v := r.URL.Query().Get(name)
-	if v == "" {
-		return def, nil
-	}
-	n, err := strconv.ParseInt(v, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad %s %q", name, v)
-	}
-	return n, nil
 }
 
 // ---- Sync endpoints ----
@@ -627,96 +617,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, st)
 }
 
-func (s *Server) handleCapacity(w http.ResponseWriter, r *http.Request) {
-	var req tasks.CapacityRequest
-	pfail, err := queryFloat(r, "pfail", 0.001)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%s", err)
-		return
-	}
-	req.Pfail = &pfail
-	req.Geometry = r.URL.Query().Get("geom")
-	req.Granularity = r.URL.Query().Get("gran")
-	if req.Trials, err = queryInt(r, "trials", 0); err != nil {
-		writeErr(w, http.StatusBadRequest, "%s", err)
-		return
-	}
-	if req.Trials < 0 {
-		writeErr(w, http.StatusBadRequest, "trials %d negative", req.Trials)
-		return
-	}
-	if req.Seed, err = queryInt64(r, "seed", 1); err != nil {
-		writeErr(w, http.StatusBadRequest, "%s", err)
-		return
-	}
-	if req.Seed < 0 {
-		writeErr(w, http.StatusBadRequest, "seed %d negative", req.Seed)
-		return
-	}
-	// workers only changes Monte Carlo scheduling, never the estimate;
-	// the task excludes it from the canonical hash, so the same query at
-	// a different worker count replays the stored bytes. It is still
-	// validated here so a malformed value is a 400 regardless of cache
-	// state.
-	if req.Workers, err = queryInt(r, "workers", 0); err != nil {
-		writeErr(w, http.StatusBadRequest, "%s", err)
-		return
-	}
-	if req.Workers < 0 {
-		writeErr(w, http.StatusBadRequest, "workers %d negative", req.Workers)
-		return
-	}
-	t, err := tasks.NewCapacityTask(req)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%s", err)
-		return
-	}
-	s.runTask(w, r, t)
-}
-
-func (s *Server) handleOperatingPoint(w http.ResponseWriter, r *http.Request) {
-	var req tasks.OperatingPointRequest
-	if v := r.URL.Query().Get("min_performance"); v != "" {
-		minPerf, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, "bad min_performance %q", v)
-			return
-		}
-		req.MinPerformance = &minPerf
-	} else {
-		pfail, err := queryFloat(r, "pfail", 0.001)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, "%s", err)
-			return
-		}
-		req.Pfail = &pfail
-	}
-	t, err := tasks.NewOperatingPointTask(req)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%s", err)
-		return
-	}
-	s.runTask(w, r, t)
-}
-
-func (s *Server) handleOverhead(w http.ResponseWriter, r *http.Request) {
-	s.runTask(w, r, tasks.OverheadTask{})
-}
-
-func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
-	var req SimRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, "%s", err)
-		return
-	}
-	t, err := tasks.NewSimTask(req)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%s", err)
-		return
-	}
-	s.runTask(w, r, t)
-}
-
 // ---- Batch endpoint ----
 
 // BatchRequest is the POST /v1/batch body: a heterogeneous list of task
@@ -750,50 +650,18 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			len(req.Requests), s.cfg.MaxBatchItems)
 		return
 	}
-	if backlog := s.jobs.BatchBacklog(); backlog >= int64(s.cfg.ShedWatermark) {
-		s.shed503(w, ErrCodeOverloaded, map[string]any{
-			"batch_backlog": backlog, "watermark": s.cfg.ShedWatermark,
-		}, "batch tier saturated (%d queued >= watermark %d); retry later", backlog, s.cfg.ShedWatermark)
+	if s.shedBatch(w, "batch tier") {
 		return
 	}
-	// Gate grid- and scale-shaped tasks before any simulation runs,
-	// mirroring the sync endpoints' limits; a rejected item's error
-	// lands in its own slot, so one oversized request cannot fail its
-	// siblings.
+	// Every item passes the same limits its own route applies, before
+	// any simulation runs; a rejected item's error lands in its own
+	// slot, so one oversized request cannot fail its siblings.
 	var results []engine.BatchResult
-	serr := s.submitWait(r.Context(), engine.TierBatch, func(ctx context.Context) {
+	if !s.submitWait(w, r, engine.TierBatch, func(ctx context.Context) {
 		results = engine.RunBatchFiltered(ctx, s.eng, req.Requests, 0, func(t engine.Task) error {
-			switch tt := t.(type) {
-			case tasks.DVFSExploreTask:
-				if n := tt.GridCells(); n > maxDVFSCells {
-					return fmt.Errorf("grid has %d cells, limit %d", n, maxDVFSCells)
-				}
-				if tt.Spec.Scale > maxDVFSScale {
-					return fmt.Errorf("scale %d out of [0,%d]", tt.Spec.Scale, maxDVFSScale)
-				}
-			case tasks.DVFSRunTask:
-				if tt.Req.Scale > maxDVFSScale {
-					return fmt.Errorf("scale %d out of [0,%d]", tt.Req.Scale, maxDVFSScale)
-				}
-			default:
-				if g, ok := t.(interface{ GridCells() int }); ok {
-					if n := g.GridCells(); n > s.cfg.MaxGridCells {
-						return fmt.Errorf("grid has %d cells, limit %d", n, s.cfg.MaxGridCells)
-					}
-				}
-			}
-			return nil
+			return tasks.Check(t, s.limits)
 		})
-	})
-	switch {
-	case errors.Is(serr, engine.ErrPoolFull):
-		s.shed503(w, ErrCodeOverloaded, map[string]any{"queue": "batch"}, "batch queue full; retry later")
-		return
-	case errors.Is(serr, engine.ErrPoolDraining):
-		s.shed503(w, ErrCodeDraining, nil, "shutting down; retry against another node")
-		return
-	case serr != nil:
-		writeErr(w, http.StatusServiceUnavailable, "%s", serr)
+	}) {
 		return
 	}
 	writeJSON(w, http.StatusOK, BatchResponse{Results: results})
@@ -813,33 +681,19 @@ func (s *Server) handleSweepPost(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "%s", err)
 		return
 	}
-	spec, err := req.Spec()
-	if err != nil {
+	t, err := tasks.NewSweepRunTask(req)
+	if err = s.admit(t, err); err != nil {
 		writeErr(w, http.StatusBadRequest, "%s", err)
-		return
-	}
-	spec = spec.WithDefaults()
-	if err := spec.Check(); err != nil {
-		writeErr(w, http.StatusBadRequest, "%s", err)
-		return
-	}
-	if n := len(spec.Cells()); n > s.cfg.MaxGridCells {
-		writeErr(w, http.StatusBadRequest, "grid has %d cells, limit %d", n, s.cfg.MaxGridCells)
 		return
 	}
 	// Admission control: shed NEW work once the batch backlog crosses
 	// the watermark. A spec the manager already knows still answers —
 	// the dedup hit costs nothing and may well be the client retrying
 	// exactly as the earlier 503 told it to.
-	if _, known := s.jobs.Get(spec.CanonicalHash()); !known {
-		if backlog := s.jobs.BatchBacklog(); backlog >= int64(s.cfg.ShedWatermark) {
-			s.shed503(w, ErrCodeOverloaded, map[string]any{
-				"batch_backlog": backlog, "watermark": s.cfg.ShedWatermark,
-			}, "sweep queue saturated (%d queued >= watermark %d); retry later", backlog, s.cfg.ShedWatermark)
-			return
-		}
+	if _, known := s.jobs.Get(t.Spec.CanonicalHash()); !known && s.shedBatch(w, "sweep queue") {
+		return
 	}
-	snap, cached, err := s.jobs.Enqueue(spec)
+	snap, cached, err := s.jobs.Enqueue(t.Spec)
 	switch {
 	case errors.Is(err, errDraining):
 		s.shed503(w, ErrCodeDraining, nil, "%s", err)
@@ -868,32 +722,46 @@ type SweepList struct {
 }
 
 func (s *Server) handleSweepList(w http.ResponseWriter, r *http.Request) {
-	offset, err := queryInt(r, "offset", 0)
-	if err != nil || offset < 0 {
-		writeErr(w, http.StatusBadRequest, "bad offset")
-		return
-	}
-	limit, err := queryInt(r, "limit", 0)
-	if err != nil || limit < 0 {
-		writeErr(w, http.StatusBadRequest, "bad limit (0 = unlimited)")
+	p, err := parsePage(r)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, "%s", err)
 		return
 	}
 	all := s.jobs.List()
 	total := len(all)
 	page := all
-	if offset >= len(page) {
+	if p.Offset >= len(page) {
 		page = nil
 	} else {
-		page = page[offset:]
+		page = page[p.Offset:]
 	}
-	if limit > 0 && len(page) > limit {
-		page = page[:limit]
+	if p.Limit > 0 && len(page) > p.Limit {
+		page = page[:p.Limit]
 	}
 	if page == nil {
 		page = []JobSnapshot{} // an empty page is [], never null
 	}
 	w.Header().Set("X-Total-Count", strconv.Itoa(total))
-	writeJSON(w, http.StatusOK, SweepList{Jobs: page, Total: total, Offset: offset, Limit: limit})
+	writeJSON(w, http.StatusOK, SweepList{Jobs: page, Total: total, Offset: p.Offset, Limit: p.Limit})
+}
+
+// page is the ?offset=&limit= paging of the job list and a job's rows.
+type page struct {
+	Offset int `json:"offset"`
+	Limit  int `json:"limit"` // 0 = unlimited
+}
+
+func parsePage(r *http.Request) (page, error) {
+	var p page
+	switch err := bindQuery(r.URL.Query(), &p); {
+	case err != nil:
+		return p, err
+	case p.Offset < 0:
+		return p, errors.New("bad offset")
+	case p.Limit < 0:
+		return p, errors.New("bad limit (0 = unlimited)")
+	}
+	return p, nil
 }
 
 func (s *Server) handleSweepGet(w http.ResponseWriter, r *http.Request) {

@@ -49,11 +49,14 @@ func (s *Server) handleSweepStream(w http.ResponseWriter, r *http.Request) {
 
 	// Resume point: ?offset= wins, else the SSE Last-Event-ID header
 	// (the id of the last row received, so delivery restarts after it).
-	start, err := queryInt(r, "offset", -1)
-	if err != nil || (start < 0 && start != -1) {
+	q := struct {
+		Offset int `json:"offset"`
+	}{-1}
+	if err := bindQuery(r.URL.Query(), &q); err != nil || (q.Offset < 0 && q.Offset != -1) {
 		writeErr(w, http.StatusBadRequest, "bad offset")
 		return
 	}
+	start := q.Offset
 	if start == -1 {
 		start = 0
 		if lei := r.Header.Get("Last-Event-ID"); lei != "" {
@@ -230,16 +233,12 @@ func (s *Server) handleSweepRows(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, "no job %q", id)
 		return
 	}
-	offset, err := queryInt(r, "offset", 0)
-	if err != nil || offset < 0 {
-		writeErr(w, http.StatusBadRequest, "bad offset")
+	p, err := parsePage(r)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, "%s", err)
 		return
 	}
-	limit, err := queryInt(r, "limit", 0)
-	if err != nil || limit < 0 {
-		writeErr(w, http.StatusBadRequest, "bad limit (0 = unlimited)")
-		return
-	}
+	offset, limit := p.Offset, p.Limit
 
 	path := s.jobs.RowsPath(id)
 	total, err := countRows(path)

@@ -69,6 +69,10 @@ type CapacityTask struct {
 
 // NewCapacityTask validates the request into a runnable task.
 func NewCapacityTask(req CapacityRequest) (CapacityTask, error) {
+	if err := nonNegative(named{"trials", int64(req.Trials)}, named{"seed", req.Seed},
+		named{"workers", int64(req.Workers)}); err != nil {
+		return CapacityTask{}, err
+	}
 	n := req.normalized()
 	if p := *n.Pfail; p < 0 || p >= 1 {
 		return CapacityTask{}, fmt.Errorf("pfail %v out of [0,1)", p)
@@ -89,6 +93,10 @@ func NewCapacityTask(req CapacityRequest) (CapacityTask, error) {
 
 // Kind implements engine.Task.
 func (t CapacityTask) Kind() string { return KindCapacity }
+
+// Check implements the limits check; the constructor already caps
+// trials, so there is nothing left to bound.
+func (t CapacityTask) Check(Limits) error { return nil }
 
 // CanonicalHash digests the defaulted request minus the worker knob.
 func (t CapacityTask) CanonicalHash() string { return hashJSON(KindCapacity, t.Req.normalized()) }
@@ -191,6 +199,9 @@ func NewOperatingPointTask(req OperatingPointRequest) (OperatingPointTask, error
 // Kind implements engine.Task.
 func (t OperatingPointTask) Kind() string { return KindOperatingPoint }
 
+// Check implements the limits check; a model lookup has no size.
+func (t OperatingPointTask) Check(Limits) error { return nil }
+
 // CanonicalHash digests the defaulted request.
 func (t OperatingPointTask) CanonicalHash() string {
 	return hashJSON(KindOperatingPoint, t.Req.normalized())
@@ -256,6 +267,9 @@ type OverheadTask struct{}
 
 // Kind implements engine.Task.
 func (OverheadTask) Kind() string { return KindOverhead }
+
+// Check implements the limits check; the one table has no size.
+func (OverheadTask) Check(Limits) error { return nil }
 
 // CanonicalHash implements engine.Task; the table has a single identity.
 func (OverheadTask) CanonicalHash() string { return hashJSON(KindOverhead, struct{}{}) }

@@ -112,6 +112,9 @@ type DVFSExploreTask struct {
 
 // NewDVFSExploreTask validates the request into a runnable task.
 func NewDVFSExploreTask(req DVFSExploreRequest) (DVFSExploreTask, error) {
+	if err := nonNegative(named{"seed", req.Seed}); err != nil {
+		return DVFSExploreTask{}, err
+	}
 	spec, err := req.ExploreSpec()
 	if err != nil {
 		return DVFSExploreTask{}, err
@@ -136,9 +139,28 @@ func (t DVFSExploreTask) CanonicalHash() string {
 	return h
 }
 
-// GridCells reports the grid size after defaults, for request gates.
+// GridCells reports the grid size after defaults.
 func (t DVFSExploreTask) GridCells() int {
 	return len(t.Spec.Workloads) * len(t.Spec.Schemes) * len(t.Spec.Policies)
+}
+
+// Check bounds the instruction budget and the grid, before any
+// simulation runs.
+func (t DVFSExploreTask) Check(l Limits) error {
+	if err := checkScale(t.Spec.Scale, l); err != nil {
+		return err
+	}
+	if n := t.GridCells(); n > l.DVFSCells {
+		return fmt.Errorf("grid has %d cells, limit %d", n, l.DVFSCells)
+	}
+	return nil
+}
+
+func checkScale(scale int, l Limits) error {
+	if scale > l.DVFSScale {
+		return fmt.Errorf("scale %d out of [0,%d]", scale, l.DVFSScale)
+	}
+	return nil
 }
 
 // Run implements engine.Task.
@@ -252,6 +274,9 @@ func (r DVFSRunRequest) config() (dvfs.Config, error) {
 
 // Kind implements engine.Task.
 func (t DVFSRunTask) Kind() string { return KindDVFSRun }
+
+// Check bounds the instruction budget.
+func (t DVFSRunTask) Check(l Limits) error { return checkScale(t.Req.Scale, l) }
 
 // CanonicalHash digests the defaulted request.
 func (t DVFSRunTask) CanonicalHash() string { return hashJSON(KindDVFSRun, t.Req.normalized()) }

@@ -127,6 +127,11 @@ type FleetTask struct {
 
 // NewFleetTask validates the request into a runnable task.
 func NewFleetTask(req FleetRequest) (FleetTask, error) {
+	if err := nonNegative(named{"dies", int64(req.Dies)}, named{"dies_per_wafer", int64(req.DiesPerWafer)},
+		named{"vsteps", int64(req.VSteps)}, named{"seed", req.Seed},
+		named{"workers", int64(req.Workers)}); err != nil {
+		return FleetTask{}, err
+	}
 	spec, err := req.FleetSpec()
 	if err != nil {
 		return FleetTask{}, err
@@ -141,8 +146,25 @@ func (t FleetTask) Kind() string { return KindFleetSweep }
 // stripped.
 func (t FleetTask) CanonicalHash() string { return hashJSON(KindFleetSweep, t.Req.normalized()) }
 
-// DieCount reports the fleet size after defaults, for request gates.
-func (t FleetTask) DieCount() int { return t.Spec.Dies }
+// Check bounds the fleet size, and the size of fleet whose per-die
+// rows may be returned: distributions stay cheap at any size, row
+// dumps do not.
+func (t FleetTask) Check(l Limits) error {
+	if err := checkDies(t.Spec.Dies, l); err != nil {
+		return err
+	}
+	if t.Req.IncludeDies && t.Spec.Dies > l.DieRows {
+		return fmt.Errorf("include_dies limited to %d dies, fleet has %d", l.DieRows, t.Spec.Dies)
+	}
+	return nil
+}
+
+func checkDies(dies int, l Limits) error {
+	if dies > l.Dies {
+		return fmt.Errorf("fleet has %d dies, limit %d", dies, l.Dies)
+	}
+	return nil
+}
 
 // Run implements engine.Task.
 func (t FleetTask) Run(ctx context.Context) (any, error) {
@@ -292,8 +314,16 @@ func (t PredictTask) Kind() string { return KindVccminPredict }
 // stripped.
 func (t PredictTask) CanonicalHash() string { return hashJSON(KindVccminPredict, t.Req.normalized()) }
 
-// SampleCount reports the number of dies measured, for request gates.
-func (t PredictTask) SampleCount() int { return t.Spec.Sample }
+// Check bounds the fleet size and the number of dies measured.
+func (t PredictTask) Check(l Limits) error {
+	if err := checkDies(t.Spec.Fleet.Dies, l); err != nil {
+		return err
+	}
+	if t.Spec.Sample > l.PredictSample {
+		return fmt.Errorf("sample %d exceeds limit %d", t.Spec.Sample, l.PredictSample)
+	}
+	return nil
+}
 
 // Run implements engine.Task.
 func (t PredictTask) Run(ctx context.Context) (any, error) {

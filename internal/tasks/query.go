@@ -114,8 +114,9 @@ func (t QueryTask) CanonicalHash() string {
 	})
 }
 
-// GridCells reports the full grid size, for request gates.
-func (t QueryTask) GridCells() int { return len(t.Spec.Cells()) }
+// Check bounds the grid the query may compute and its per-cell
+// instruction budget.
+func (t QueryTask) Check(l Limits) error { return checkGrid(t.Spec, l) }
 
 // SweepHash is the underlying grid's canonical hash — the job id a
 // finished checkpoint for this result set would live under.

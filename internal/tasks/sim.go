@@ -105,6 +105,10 @@ func NewSimTask(req SimRequest) (SimTask, error) {
 // Kind implements engine.Task.
 func (t SimTask) Kind() string { return KindSim }
 
+// Check caps the instruction budget: a run cannot be cancelled, so an
+// unbounded one would hold a server worker indefinitely.
+func (t SimTask) Check(l Limits) error { return checkInstructions(t.Req.Instructions, l) }
+
 // CanonicalHash digests the request verbatim: every field is
 // result-defining (zero values are the reference defaults).
 func (t SimTask) CanonicalHash() string { return hashJSON(KindSim, t.Req) }

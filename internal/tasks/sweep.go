@@ -122,8 +122,17 @@ func (t SweepRunTask) Kind() string { return KindSweep }
 // identity the async job manager dedups on.
 func (t SweepRunTask) CanonicalHash() string { return t.Spec.CanonicalHash() }
 
-// GridCells reports the full grid size, for request gates.
-func (t SweepRunTask) GridCells() int { return len(t.Spec.Cells()) }
+// Check bounds the grid and the per-cell instruction budget.
+func (t SweepRunTask) Check(l Limits) error { return checkGrid(t.Spec, l) }
+
+// checkGrid bounds a sweep-shaped task: the grid it evaluates and each
+// cell's instruction budget.
+func checkGrid(spec sweep.Spec, l Limits) error {
+	if n := len(spec.Cells()); n > l.GridCells {
+		return fmt.Errorf("grid has %d cells, limit %d", n, l.GridCells)
+	}
+	return checkInstructions(spec.Instructions, l)
+}
 
 // Run implements engine.Task.
 func (t SweepRunTask) Run(ctx context.Context) (any, error) {
@@ -191,8 +200,8 @@ func (t SweepCellTask) CanonicalHash() string {
 	}{Spec: t.Spec.CanonicalHash(), Index: t.index})
 }
 
-// GridCells reports the full grid size, for request gates.
-func (t SweepCellTask) GridCells() int { return len(t.Spec.Cells()) }
+// Check bounds the grid and the cell's instruction budget.
+func (t SweepCellTask) Check(l Limits) error { return checkGrid(t.Spec, l) }
 
 // Run implements engine.Task.
 func (t SweepCellTask) Run(ctx context.Context) (any, error) {

@@ -8,7 +8,8 @@
 //
 // Each kind is a request struct (the JSON shape shared by the HTTP
 // handlers, POST /v1/batch and the CLIs), a constructor that validates
-// it into a Task, and a response struct whose marshalled bytes are the
+// it into a Task, a Check(Limits) method bounding the work a server
+// admits, and a response struct whose marshalled bytes are the
 // engine's stored representation. Because every surface constructs the
 // same task types, a result computed through any entrypoint — server,
 // CLI or batch — is byte-identical and reusable by all of them.
@@ -24,6 +25,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"reflect"
 
 	"vccmin/internal/engine"
 )
@@ -44,54 +46,118 @@ const (
 )
 
 func init() {
-	engine.RegisterKind(KindCapacity, decodeInto(func(r CapacityRequest) (engine.Task, error) {
-		return NewCapacityTask(r)
-	}))
-	engine.RegisterKind(KindOperatingPoint, decodeInto(func(r OperatingPointRequest) (engine.Task, error) {
-		return NewOperatingPointTask(r)
-	}))
-	engine.RegisterKind(KindOverhead, decodeInto(func(struct{}) (engine.Task, error) {
-		return OverheadTask{}, nil
-	}))
-	engine.RegisterKind(KindSim, decodeInto(func(r SimRequest) (engine.Task, error) {
-		return NewSimTask(r)
-	}))
-	engine.RegisterKind(KindSweep, decodeInto(func(r SweepRequest) (engine.Task, error) {
-		return NewSweepRunTask(r)
-	}))
-	engine.RegisterKind(KindSweepCell, decodeInto(func(r SweepCellRequest) (engine.Task, error) {
-		return NewSweepCellTask(r)
-	}))
-	engine.RegisterKind(KindDVFSRun, decodeInto(func(r DVFSRunRequest) (engine.Task, error) {
-		return NewDVFSRunTask(r)
-	}))
-	engine.RegisterKind(KindDVFSExplore, decodeInto(func(r DVFSExploreRequest) (engine.Task, error) {
-		return NewDVFSExploreTask(r)
-	}))
-	engine.RegisterKind(KindFleetSweep, decodeInto(func(r FleetRequest) (engine.Task, error) {
-		return NewFleetTask(r)
-	}))
-	engine.RegisterKind(KindVccminPredict, decodeInto(func(r PredictRequest) (engine.Task, error) {
-		return NewPredictTask(r)
-	}))
-	engine.RegisterKind(KindQuery, decodeInto(func(r QueryRequest) (engine.Task, error) {
-		return NewQueryTask(r)
-	}))
+	register(KindCapacity, NewCapacityTask)
+	register(KindOperatingPoint, NewOperatingPointTask)
+	register(KindOverhead, func(struct{}) (OverheadTask, error) { return OverheadTask{}, nil })
+	register(KindSim, NewSimTask)
+	register(KindSweep, NewSweepRunTask)
+	register(KindSweepCell, NewSweepCellTask)
+	register(KindDVFSRun, NewDVFSRunTask)
+	register(KindDVFSExplore, NewDVFSExploreTask)
+	register(KindFleetSweep, NewFleetTask)
+	register(KindVccminPredict, NewPredictTask)
+	register(KindQuery, NewQueryTask)
 }
 
-// decodeInto adapts a typed request constructor into a registry
-// Decoder, rejecting unknown fields so a mistyped batch parameter fails
-// loudly instead of silently taking a default.
-func decodeInto[R any](build func(R) (engine.Task, error)) engine.Decoder {
-	return func(params json.RawMessage) (engine.Task, error) {
-		var r R
+// Kind is one registered task kind's request shape and constructor —
+// what every surface binding a request (HTTP query strings and bodies,
+// batch items) needs to turn it into a task.
+type Kind struct {
+	Request reflect.Type                       // the request struct
+	Build   func(req any) (engine.Task, error) // req is a *Request
+}
+
+var kinds = map[string]Kind{}
+
+// LookupKind returns the registered kind with the given name.
+func LookupKind(name string) (Kind, bool) {
+	k, ok := kinds[name]
+	return k, ok
+}
+
+// register records a kind and installs its engine decoder, which
+// rejects unknown fields so a mistyped batch parameter fails loudly
+// instead of silently taking a default.
+func register[R any, T engine.Task](name string, build func(R) (T, error)) {
+	k := Kind{Request: reflect.TypeFor[R](), Build: func(req any) (engine.Task, error) {
+		t, err := build(*req.(*R))
+		if err != nil {
+			return nil, err
+		}
+		return t, nil
+	}}
+	kinds[name] = k
+	engine.RegisterKind(name, func(params json.RawMessage) (engine.Task, error) {
+		req := new(R)
 		dec := json.NewDecoder(bytes.NewReader(params))
 		dec.DisallowUnknownFields()
-		if err := dec.Decode(&r); err != nil {
+		if err := dec.Decode(req); err != nil {
 			return nil, fmt.Errorf("bad parameters: %w", err)
 		}
-		return build(r)
+		return k.Build(req)
+	})
+}
+
+// Limits bounds the work one request may ask of a server. They apply
+// to every serving surface — each route and each /v1/batch item —
+// through Check; the CLIs run locally and take no limits, so
+// vccmin-fleet can still run fleets of any size.
+type Limits struct {
+	GridCells     int // sweep grid cells (sweep, sweep-cell, query)
+	DVFSCells     int // DVFS explorer workload × scheme × policy cells
+	DVFSScale     int // DVFS per-workload instruction budget
+	Dies          int // fleet size (fleet-sweep, vccmin-predict)
+	DieRows       int // largest fleet that may ask for per-die rows
+	PredictSample int // dies one prediction study measures
+	Instructions  int // simulated instructions per run (sim, sweep cells)
+}
+
+// DefaultLimits are the serving limits vccmin-serve runs with; its
+// -max-grid flag overrides GridCells.
+func DefaultLimits() Limits {
+	return Limits{
+		GridCells:     4096,
+		DVFSCells:     64,
+		DVFSScale:     500_000,
+		Dies:          200_000,
+		DieRows:       10_000,
+		PredictSample: 2_000,
+		Instructions:  2_000_000,
 	}
+}
+
+// Check applies the limits to a constructed task. Every kind in this
+// package has a Check(Limits) method; other tasks pass.
+func Check(t engine.Task, l Limits) error {
+	if c, ok := t.(interface{ Check(Limits) error }); ok {
+		return c.Check(l)
+	}
+	return nil
+}
+
+func checkInstructions(n int, l Limits) error {
+	if n > l.Instructions {
+		return fmt.Errorf("instructions %d exceeds limit %d", n, l.Instructions)
+	}
+	return nil
+}
+
+// named is one integer request field, for nonNegative.
+type named struct {
+	name string
+	v    int64
+}
+
+// nonNegative rejects the first negative field. Callers list fields in
+// request-struct order, so a request with several bad fields gets one
+// fixed message from every surface.
+func nonNegative(fields ...named) error {
+	for _, f := range fields {
+		if f.v < 0 {
+			return fmt.Errorf("%s %d negative", f.name, f.v)
+		}
+	}
+	return nil
 }
 
 // hashJSON digests a kind-prefixed canonical (defaulted, scheduling

@@ -171,8 +171,8 @@ func TestSweepTasksMatchStreamingRun(t *testing.T) {
 	if runTask.CanonicalHash() != spec.CanonicalHash() {
 		t.Fatal("sweep task hash must equal the spec's canonical hash")
 	}
-	if runTask.GridCells() != 4 {
-		t.Fatalf("grid cells %d, want 4", runTask.GridCells())
+	if n := len(runTask.Spec.Cells()); n != 4 {
+		t.Fatalf("grid cells %d, want 4", n)
 	}
 	var resp SweepRunResponse
 	if err := json.Unmarshal(mustRun(t, runTask), &resp); err != nil {
@@ -362,5 +362,53 @@ func TestFleetHashIgnoresWorkers(t *testing.T) {
 	}
 	if p1.CanonicalHash() == base.CanonicalHash() {
 		t.Error("distinct kinds must not collide")
+	}
+}
+
+// TestInstructionsLimit: the per-run instruction cap applies to the
+// sim kind and to every sweep-shaped kind, at the cap and one past it.
+// The largest budget used anywhere in the repository (300k) passes.
+func TestInstructionsLimit(t *testing.T) {
+	l := DefaultLimits()
+	for _, tc := range []struct {
+		n    int
+		want string
+	}{
+		{300_000, ""},
+		{l.Instructions, ""},
+		{l.Instructions + 1, "instructions 2000001 exceeds limit 2000000"},
+	} {
+		sweepReq := SweepRequest{Pfails: []float64{0.001}, Benchmarks: []string{"crafty"}, Instructions: tc.n}
+		for _, build := range []func() (engine.Task, error){
+			func() (engine.Task, error) { return NewSimTask(SimRequest{Benchmark: "crafty", Instructions: tc.n}) },
+			func() (engine.Task, error) { return NewSweepRunTask(sweepReq) },
+			func() (engine.Task, error) { return NewSweepCellTask(SweepCellRequest{SweepRequest: sweepReq}) },
+			func() (engine.Task, error) { return NewQueryTask(QueryRequest{Sweep: sweepReq}) },
+		} {
+			task, err := build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := ""
+			if err := Check(task, l); err != nil {
+				got = err.Error()
+			}
+			if got != tc.want {
+				t.Errorf("%s with %d instructions: Check = %q, want %q", task.Kind(), tc.n, got, tc.want)
+			}
+		}
+	}
+}
+
+// TestConstructorsTakeNoLimits: size limits belong to Check alone, so
+// the CLIs, which construct tasks but never Check them, can still run
+// fleets past the server's die limit.
+func TestConstructorsTakeNoLimits(t *testing.T) {
+	task, err := NewFleetTask(FleetRequest{Dies: 300_000})
+	if err != nil {
+		t.Fatalf("constructor applied a size limit: %v", err)
+	}
+	if err := Check(task, DefaultLimits()); err == nil || err.Error() != "fleet has 300000 dies, limit 200000" {
+		t.Fatalf("Check = %v, want the die limit", err)
 	}
 }
