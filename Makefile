@@ -6,7 +6,7 @@ COVER_FLOOR ?= 80
 # Per-target budget for the `make fuzz` smoke run.
 FUZZTIME ?= 10s
 
-.PHONY: build test race bench bench-json bench-gate diff-race fmt vet doc-check link-check api-check clean-check check fuzz cover serve sweep-demo loadgen-smoke fleet-smoke query-smoke ci
+.PHONY: build test race bench bench-json bench-gate diff-race e2ebench-test fmt vet doc-check link-check api-check clean-check check fuzz cover serve sweep-demo loadgen-smoke fleet-smoke query-smoke ci
 
 build:
 	$(GO) build ./...
@@ -33,11 +33,19 @@ bench-gate:
 
 # The differential equivalence suites under the race detector: the frozen
 # pre-optimization reference implementations (dense fault-map generation,
-# oracle DP, probe measurement, frontier marking, the naive row-wise
-# query evaluator, the rebuild-per-probe fleet prober) held byte-identical
-# to the optimized hot paths.
+# oracle DP, probe measurement, frontier marking, the build-per-run
+# explorer, the naive row-wise query evaluator, the rebuild-per-probe
+# fleet prober, the comparison sort of die fault populations) held
+# byte-identical to the optimized hot paths, plus the Reset-equals-Build
+# contract the explorer's machine reuse rests on.
 diff-race:
-	$(GO) test -race -run 'Differential|ProbeCacheHit|MarkFrontierMatchesRebuild|FrontierSet' ./internal/faults ./internal/dvfs ./internal/colstore ./internal/population
+	$(GO) test -race -run 'Differential|ProbeCacheHit|MarkFrontierMatchesRebuild|FrontierSet' ./internal/faults ./internal/dvfs ./internal/colstore ./internal/population ./internal/sim
+
+# The end-to-end benchmark's own tests. e2ebench is a separate module
+# (it imports this one through a replace directive), so ./... at the
+# root never reaches it.
+e2ebench-test:
+	cd e2ebench && $(GO) test ./...
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -151,4 +159,4 @@ query-smoke:
 	cmp /tmp/query-smoke-folded.json /tmp/query-smoke-computed.json
 	@echo "query-smoke: folded and computed answers are byte-identical"
 
-ci: build check race bench sweep-demo loadgen-smoke fleet-smoke query-smoke cover
+ci: build check race bench e2ebench-test sweep-demo loadgen-smoke fleet-smoke query-smoke cover

@@ -211,7 +211,13 @@ type runner struct {
 	cfg   Config
 	model power.Model
 
-	systems [2]*sim.System // indexed by sim.Mode
+	// systems are the run's machines, indexed by sim.Mode and acquired
+	// on first use (see system): taken from free when the run belongs to
+	// an Explore call, built fresh otherwise. Generators come and go the
+	// same way.
+	systems [2]*sim.System
+	gens    []benchGenerator // every generator the run has taken
+	free    *freeList
 	freq    [2]float64
 	volt    [2]float64
 }
@@ -244,22 +250,46 @@ func (c Config) modeOptions(m sim.Mode) sim.Options {
 	return opts
 }
 
-// phaseGenerator builds phase p's workload generator. The probe runs and
+// phaseSeed is phase p's workload generator seed. The probe runs and
 // the scheduled run derive identical seeds, so the oracle's isolated
 // measurements see exactly the instruction stream the real run executes.
-func (c Config) phaseGenerator(p int) (*workload.Generator, error) {
-	ph := c.Workload.Phases[p]
-	prof, err := workload.ByName(ph.Benchmark)
-	if err != nil {
-		return nil, err
+func (c Config) phaseSeed(p int) int64 {
+	return faults.DeriveSeed(c.Seed, "dvfs-phase", strconv.Itoa(p), c.Workload.Phases[p].Benchmark)
+}
+
+// phaseGenerator returns a generator of phase p's stream.
+func (r *runner) phaseGenerator(p int) (*workload.Generator, error) {
+	return r.generator(r.cfg.Workload.Phases[p].Benchmark, r.cfg.phaseSeed(p))
+}
+
+// generator returns a generator of benchmark bench's stream at seed:
+// an idle one of the free list's, Reset to seed (which replays exactly
+// the stream a new generator would emit), or a new one. The run keeps
+// it until release.
+func (r *runner) generator(bench string, seed int64) (*workload.Generator, error) {
+	gen := r.free.takeGenerator(bench)
+	if gen != nil {
+		gen.Reset(seed)
+	} else {
+		prof, err := workload.ByName(bench)
+		if err != nil {
+			return nil, err
+		}
+		if gen, err = workload.NewGenerator(prof, seed); err != nil {
+			return nil, err
+		}
 	}
-	return workload.NewGenerator(prof,
-		faults.DeriveSeed(c.Seed, "dvfs-phase", strconv.Itoa(p), ph.Benchmark))
+	r.gens = append(r.gens, benchGenerator{bench, gen})
+	return gen, nil
 }
 
 // Run executes the workload under the config's policy and returns the
 // full accounting. The result is a pure function of the config.
-func Run(cfg Config) (Result, error) {
+func Run(cfg Config) (Result, error) { return run(cfg, nil) }
+
+// run is Run drawing its machines and generators from free (nil: make
+// them fresh) and returning them there when done.
+func run(cfg Config, free *freeList) (Result, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Check(); err != nil {
 		return Result{}, err
@@ -273,27 +303,57 @@ func Run(cfg Config) (Result, error) {
 	// report, so the layers can never disagree on what "low" costs.
 	lowV := model.OperatingPointForPfail(cfg.Pfail).Voltage
 
-	r := &runner{cfg: cfg, model: model}
+	r := &runner{cfg: cfg, model: model, free: free}
 	r.freq[sim.HighVoltage], r.freq[sim.LowVoltage] = 1, cfg.LowFreq
 	r.volt[sim.HighVoltage], r.volt[sim.LowVoltage] = 1, lowV
+	defer r.release()
 
-	for _, m := range []sim.Mode{sim.HighVoltage, sim.LowVoltage} {
-		sys, err := sim.Build(cfg.modeOptions(m))
-		if err != nil {
-			return Result{}, fmt.Errorf("dvfs: building %s system: %w", m, err)
-		}
-		r.systems[m] = sys
-	}
-
-	if err := r.warmup(); err != nil {
-		return Result{}, err
-	}
-
+	// The oracle probes on the run's own machines, so the policy is
+	// materialized before warm-up; the probe leaves both machines Reset.
 	decide, err := r.policy()
 	if err != nil {
 		return Result{}, err
 	}
+	for _, m := range []sim.Mode{sim.HighVoltage, sim.LowVoltage} {
+		if _, err := r.system(m); err != nil {
+			return Result{}, err
+		}
+	}
+	if err := r.warmup(); err != nil {
+		return Result{}, err
+	}
 	return r.schedule(decide)
+}
+
+// system returns the run's machine for mode m, acquiring it on first
+// use: a Reset machine from the free list when one is idle for the
+// config's key, a fresh sim.Build otherwise.
+func (r *runner) system(m sim.Mode) (*sim.System, error) {
+	if sys := r.systems[m]; sys != nil {
+		return sys, nil
+	}
+	sys := r.free.take(r.cfg.systemKey(m))
+	if sys == nil {
+		var err error
+		if sys, err = sim.Build(r.cfg.modeOptions(m)); err != nil {
+			return nil, fmt.Errorf("dvfs: building %s system: %w", m, err)
+		}
+	}
+	r.systems[m] = sys
+	return sys, nil
+}
+
+// release hands the run's machines and generators back to the free
+// list.
+func (r *runner) release() {
+	for m, sys := range r.systems {
+		if sys != nil {
+			r.free.put(r.cfg.systemKey(sim.Mode(m)), sys)
+			r.systems[m] = nil
+		}
+	}
+	r.free.putGenerators(r.gens)
+	r.gens = nil
 }
 
 // warmup runs each mode's system over a dedicated stream of the first
@@ -303,12 +363,8 @@ func (r *runner) warmup() error {
 	if r.cfg.Warmup <= 0 {
 		return nil
 	}
-	prof, err := workload.ByName(r.cfg.Workload.Phases[0].Benchmark)
-	if err != nil {
-		return err
-	}
 	for _, m := range []sim.Mode{sim.HighVoltage, sim.LowVoltage} {
-		gen, err := workload.NewGenerator(prof,
+		gen, err := r.generator(r.cfg.Workload.Phases[0].Benchmark,
 			faults.DeriveSeed(r.cfg.Seed, "dvfs-warmup", m.String()))
 		if err != nil {
 			return err
@@ -316,6 +372,130 @@ func (r *runner) warmup() error {
 		r.systems[m].CPU.Run(gen, r.cfg.Warmup)
 	}
 	return nil
+}
+
+// systemKey identifies a machine by everything modeOptions reads: the
+// probeKey fields minus the phase list, plus the mode. Two configs with
+// equal keys build bit-identical systems, so a Reset machine of one
+// serves the other.
+type systemKey struct {
+	probeKey
+	mode sim.Mode
+}
+
+func (c Config) systemKey(m sim.Mode) systemKey {
+	return systemKey{
+		probeKey: probeKey{
+			g:      c.geometry(),
+			scheme: c.Scheme,
+			victim: c.Victim,
+			pfail:  c.Pfail,
+			seed:   c.Seed,
+			name:   c.Workload.Name,
+		},
+		mode: m,
+	}
+}
+
+// freeList holds the idle machines of one Explore call, keyed by
+// systemKey. A run takes a machine for its key and puts it back when
+// done; sim.System.Reset makes a reused machine bit-identical to a
+// fresh Build, so results never depend on which cell built it or on
+// worker scheduling. The list knows how many runs use each key, so the
+// last run of a key drops its machine instead of parking it for the
+// rest of the call. Every method is safe on a nil list, which never
+// holds anything (a standalone Run builds its own machines).
+type freeList struct {
+	mu   sync.Mutex
+	idle map[systemKey][]*sim.System
+	left map[systemKey]int // runs yet to put a machine back, per key
+
+	// Idle workload generators by benchmark name. Any of them Resets to
+	// any seed, so they need no run count: the list holds at most what
+	// the call's busiest moment used.
+	gens map[string][]*workload.Generator
+}
+
+// benchGenerator is a workload generator with its benchmark name, the
+// key it goes back to the free list under.
+type benchGenerator struct {
+	bench string
+	gen   *workload.Generator
+}
+
+// newFreeList returns the free list for the runs of cfgs (defaults
+// need not be applied: the key reads no defaulted field but the
+// geometry, which it defaults itself).
+func newFreeList(cfgs []Config) *freeList {
+	f := &freeList{idle: map[systemKey][]*sim.System{}, left: map[systemKey]int{},
+		gens: map[string][]*workload.Generator{}}
+	for _, c := range cfgs {
+		for _, m := range []sim.Mode{sim.HighVoltage, sim.LowVoltage} {
+			f.left[c.systemKey(m)]++
+		}
+	}
+	return f
+}
+
+// pop removes and returns the last idle entry under k, or the zero
+// value when there is none.
+func pop[K comparable, V any](idle map[K][]V, k K) (v V) {
+	if list := idle[k]; len(list) > 0 {
+		v, idle[k] = list[len(list)-1], list[:len(list)-1]
+	}
+	return v
+}
+
+// take removes and returns a Reset idle machine for k, or nil.
+func (f *freeList) take(k systemKey) *sim.System {
+	if f == nil {
+		return nil
+	}
+	f.mu.Lock()
+	sys := pop(f.idle, k)
+	f.mu.Unlock()
+	if sys != nil {
+		sys.Reset()
+	}
+	return sys
+}
+
+// put returns a run's machine to the list, or lets it go when no later
+// run needs its key.
+func (f *freeList) put(k systemKey, sys *sim.System) {
+	if f == nil {
+		return
+	}
+	f.mu.Lock()
+	if f.left[k]--; f.left[k] > 0 {
+		f.idle[k] = append(f.idle[k], sys)
+	} else {
+		delete(f.idle, k)
+	}
+	f.mu.Unlock()
+}
+
+// takeGenerator removes and returns an idle generator of bench's
+// profile, or nil; the caller Resets it.
+func (f *freeList) takeGenerator(bench string) *workload.Generator {
+	if f == nil {
+		return nil
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return pop(f.gens, bench)
+}
+
+// putGenerators returns a run's generators to the list.
+func (f *freeList) putGenerators(gens []benchGenerator) {
+	if f == nil {
+		return
+	}
+	f.mu.Lock()
+	for _, g := range gens {
+		f.gens[g.bench] = append(f.gens[g.bench], g.gen)
+	}
+	f.mu.Unlock()
 }
 
 // probeKey identifies everything the oracle's probe cycle counts depend
@@ -340,24 +520,18 @@ func (c Config) probeKey() probeKey {
 	for _, ph := range c.Workload.Phases {
 		fmt.Fprintf(&b, "%d:%s:%d;", len(ph.Benchmark), ph.Benchmark, ph.Instructions)
 	}
-	return probeKey{
-		g:      c.geometry(),
-		scheme: c.Scheme,
-		victim: c.Victim,
-		pfail:  c.Pfail,
-		seed:   c.Seed,
-		name:   c.Workload.Name,
-		phases: b.String(),
-	}
+	k := c.systemKey(sim.HighVoltage).probeKey
+	k.phases = b.String()
+	return k
 }
 
 // probeCache memoizes probe cycle tables across runs. Probe cycles are a
 // pure function of the probeKey, so a hit is observationally identical
 // to re-simulating — it just skips the dominant cost of an oracle run
-// (two system builds plus every phase in both modes). Explore's parallel
-// jobs share it, hence the lock. probeCacheCap bounds growth: at the cap
-// the cache drops everything (entries are cheap to recompute and a full
-// wipe keeps the policy deterministic).
+// (every phase in both modes). Explore's parallel jobs share it, hence
+// the lock. probeCacheCap bounds growth: at the cap the cache drops
+// everything (entries are cheap to recompute and a full wipe keeps the
+// policy deterministic).
 var probeCache = struct {
 	sync.Mutex
 	m map[probeKey][2][]uint64
@@ -366,9 +540,11 @@ var probeCache = struct {
 const probeCacheCap = 128
 
 // probeCycles measures every phase in isolation in both modes (the
-// oracle's cost table), reusing one system per mode via sim.System.Reset
-// — bit-identical to building a fresh system per (mode, phase) cell, at
-// a fraction of the cost — and memoizing the result in probeCache.
+// oracle's cost table) on the run's own machines, with a Reset before
+// each phase and again after the last — bit-identical to building a
+// fresh system per (mode, phase) cell, at a fraction of the cost, and
+// leaving the machines as if just built — memoizing the result in
+// probeCache.
 func (r *runner) probeCycles() ([2][]uint64, error) {
 	cfg := r.cfg
 	key := cfg.probeKey()
@@ -380,20 +556,19 @@ func (r *runner) probeCycles() ([2][]uint64, error) {
 	}
 	for _, m := range []sim.Mode{sim.HighVoltage, sim.LowVoltage} {
 		cycles[m] = make([]uint64, len(cfg.Workload.Phases))
-		sys, err := sim.Build(cfg.modeOptions(m))
+		sys, err := r.system(m)
 		if err != nil {
 			return cycles, err
 		}
 		for p, ph := range cfg.Workload.Phases {
-			if p > 0 {
-				sys.Reset()
-			}
-			gen, err := cfg.phaseGenerator(p)
+			sys.Reset()
+			gen, err := r.phaseGenerator(p)
 			if err != nil {
 				return cycles, err
 			}
 			cycles[m][p] = sys.CPU.Run(gen, ph.Instructions).Cycles
 		}
+		sys.Reset()
 	}
 	probeCache.Lock()
 	if len(probeCache.m) >= probeCacheCap {
@@ -511,7 +686,7 @@ func (r *runner) schedule(decide policyFunc) (Result, error) {
 
 	segs := make([]trace.Segment, len(cfg.Workload.Phases))
 	for p, ph := range cfg.Workload.Phases {
-		gen, err := cfg.phaseGenerator(p)
+		gen, err := r.phaseGenerator(p)
 		if err != nil {
 			return Result{}, err
 		}

@@ -246,55 +246,66 @@ func (r ExploreResult) ParetoPoints() []Point {
 // Explore evaluates the grid: one scheduled run per (workload, scheme,
 // policy) cell, in parallel up to Workers, then marks each workload's
 // Pareto frontier. Results land in grid order regardless of scheduling,
-// so the output is deterministic at every worker count.
+// so the output is deterministic at every worker count. The cells share
+// one free list for the call's lifetime: a cell whose (hooked) config
+// keys an idle machine Resets and reuses it instead of building its
+// own, and likewise for workload generators.
 func Explore(spec ExploreSpec) (*ExploreResult, error) {
 	spec = spec.withDefaults()
-	type cell struct {
-		workload string
-		scheme   sim.Scheme
-		policy   PolicyKind
-	}
-	var cells []cell
+	var cfgs []Config
+	var labels []string // grid coordinates, for errors
 	for _, w := range spec.Workloads {
 		for _, sc := range spec.Schemes {
 			for _, p := range spec.Policies {
-				cells = append(cells, cell{w, sc, p})
+				// Each cell owns its workload copy: a hook may edit it.
+				mp, err := workload.MultiPhaseByName(w)
+				if err != nil {
+					return nil, err
+				}
+				if spec.Scale > 0 {
+					mp = mp.Scaled(spec.Scale)
+				}
+				cfg := Config{
+					Workload:      mp,
+					Scheme:        sc,
+					Victim:        spec.Victim,
+					Pfail:         spec.Pfail,
+					Policy:        p,
+					Seed:          spec.Seed,
+					SwitchPenalty: spec.SwitchPenalty,
+					Interval:      spec.Interval,
+					IPCThreshold:  spec.IPCThreshold,
+				}
+				if spec.Config != nil {
+					spec.Config(&cfg)
+				}
+				cfgs = append(cfgs, cfg)
+				labels = append(labels, fmt.Sprintf("%s/%s/%s", w, sc, p))
 			}
 		}
 	}
 
-	runs := make([]Result, len(cells))
-	jobs := make([]func() error, len(cells))
-	for i, c := range cells {
-		i, c := i, c
-		jobs[i] = func() error {
-			mp, err := workload.MultiPhaseByName(c.workload)
-			if err != nil {
-				return err
+	free := newFreeList(cfgs)
+	runs := make([]Result, len(cfgs))
+	// Jobs start policy-major within each workload, so cells running at
+	// the same time tend to want different schemes' machines and each
+	// scheme's pair is built about once; results still land in grid
+	// order.
+	nS, nP := len(spec.Schemes), len(spec.Policies)
+	jobs := make([]func() error, 0, len(cfgs))
+	for w := range spec.Workloads {
+		for p := range nP {
+			for sc := range nS {
+				i := (w*nS+sc)*nP + p
+				jobs = append(jobs, func() error {
+					r, err := run(cfgs[i], free)
+					if err != nil {
+						return fmt.Errorf("dvfs: %s: %w", labels[i], err)
+					}
+					runs[i] = r
+					return nil
+				})
 			}
-			if spec.Scale > 0 {
-				mp = mp.Scaled(spec.Scale)
-			}
-			cfg := Config{
-				Workload:      mp,
-				Scheme:        c.scheme,
-				Victim:        spec.Victim,
-				Pfail:         spec.Pfail,
-				Policy:        c.policy,
-				Seed:          spec.Seed,
-				SwitchPenalty: spec.SwitchPenalty,
-				Interval:      spec.Interval,
-				IPCThreshold:  spec.IPCThreshold,
-			}
-			if spec.Config != nil {
-				spec.Config(&cfg)
-			}
-			r, err := Run(cfg)
-			if err != nil {
-				return fmt.Errorf("dvfs: %s/%s/%s: %w", c.workload, c.scheme, c.policy, err)
-			}
-			runs[i] = r
-			return nil
 		}
 	}
 	if err := experiments.RunJobs(spec.Workers, jobs); err != nil {

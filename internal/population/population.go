@@ -316,6 +316,11 @@ type prober struct {
 
 	alive     []bool // per-scheme liveness during a grid walk
 	oneScheme [1]sim.Scheme
+
+	// sortBySeverity's reused scratch: per-bucket counts and the
+	// scatter target, which then swaps places with flt.
+	bucketEnd []int32
+	sorted    []latentFault
 }
 
 // latentFault is one cell of the latent population: the linear cell
@@ -406,10 +411,62 @@ func (p *prober) draw(d int) {
 	}
 }
 
+// sortCutoff is the population size below which sortBySeverity hands
+// the (tiny) population to a comparison sort instead of bucketing it.
+const sortCutoff = 64
+
+// sortBySeverity orders the population ascending by (severity, cell) —
+// the compareFaults order — in expected linear time. Severities are iid
+// uniform in [0,1), so a stable counting scatter into len(flt) buckets
+// by int(sev·n) leaves about one fault per bucket; bucket order agrees
+// with severity order (sev·n is monotone in sev), so one insertion pass
+// with compareFaults, which never moves a fault past its bucket, then
+// yields exactly the total order a comparison sort would. The counts
+// and the scatter target are reused across dies.
 func (p *prober) sortBySeverity() {
-	if len(p.flt) > 1 {
+	n := len(p.flt)
+	if n < sortCutoff {
 		slices.SortFunc(p.flt, compareFaults)
+		return
 	}
+	if cap(p.bucketEnd) < n {
+		p.bucketEnd = make([]int32, n)
+	}
+	if cap(p.sorted) < n {
+		p.sorted = make([]latentFault, n)
+	}
+	ends, out := p.bucketEnd[:n], p.sorted[:n]
+	clear(ends)
+	bucket := func(sev float64) int {
+		// sev < 1 already keeps the rounded sev·n below n (n < 2^53);
+		// the clamp only guards that invariant.
+		return min(int(sev*float64(n)), n-1)
+	}
+	for _, f := range p.flt {
+		ends[bucket(f.sev)]++
+	}
+	var sum int32
+	for b, c := range ends {
+		sum += c
+		ends[b] = sum
+	}
+	// Scatter back to front, filling each bucket from its end, so faults
+	// keep their draw (cell) order within a bucket.
+	for i := n - 1; i >= 0; i-- {
+		f := p.flt[i]
+		b := bucket(f.sev)
+		ends[b]--
+		out[ends[b]] = f
+	}
+	for i := 1; i < n; i++ {
+		f := out[i]
+		j := i
+		for ; j > 0 && compareFaults(out[j-1], f) > 0; j-- {
+			out[j] = out[j-1]
+		}
+		out[j] = f
+	}
+	p.flt, p.sorted = out, p.flt
 }
 
 // setNeeds prepares a walk over the given schemes: which incremental

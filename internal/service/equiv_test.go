@@ -73,6 +73,7 @@ var equivBad = []equivRow{
 	{"capacity bad geometry", tasks.KindCapacity, tasks.CapacityRequest{Geometry: "banana"}},
 	{"capacity trials over cap", tasks.KindCapacity, tasks.CapacityRequest{Trials: 10_001}},
 	{"operating-point pfail zero", tasks.KindOperatingPoint, tasks.OperatingPointRequest{Pfail: fp(0)}},
+	{"operating-point unreachable floor", tasks.KindOperatingPoint, tasks.OperatingPointRequest{MinPerformance: fp(2)}},
 	{"sim instructions over limit", tasks.KindSim, tasks.SimRequest{Benchmark: "crafty", Instructions: 2_000_001}},
 	{"sim no benchmark", tasks.KindSim, tasks.SimRequest{Instructions: 2000}},
 	{"sim bad scheme", tasks.KindSim, tasks.SimRequest{Benchmark: "crafty", Scheme: "nope"}},

@@ -185,13 +185,28 @@ type OperatingPointTask struct {
 	Req OperatingPointRequest
 }
 
-// NewOperatingPointTask validates the request into a runnable task.
+// floorPoint is the cheapest Fig. 1 operating point delivering at least
+// minPerf, searched over a 400-point voltage grid; a floor no point
+// reaches is an error.
+func floorPoint(minPerf float64) (power.OperatingPointChoice, error) {
+	choice, ok := power.Default().MostEfficientPoint(minPerf, 400)
+	if !ok {
+		return choice, fmt.Errorf("no operating point delivers performance >= %v", minPerf)
+	}
+	return choice, nil
+}
+
+// NewOperatingPointTask validates the request into a runnable task: a
+// pfail out of range or a performance floor no operating point reaches
+// is rejected here, so every surface refuses it alike.
 func NewOperatingPointTask(req OperatingPointRequest) (OperatingPointTask, error) {
 	n := req.normalized()
-	if n.MinPerformance == nil {
-		if p := *n.Pfail; p <= 0 || p >= 1 {
-			return OperatingPointTask{}, fmt.Errorf("pfail %v out of (0,1)", p)
+	if n.MinPerformance != nil {
+		if _, err := floorPoint(*n.MinPerformance); err != nil {
+			return OperatingPointTask{}, err
 		}
+	} else if p := *n.Pfail; p <= 0 || p >= 1 {
+		return OperatingPointTask{}, fmt.Errorf("pfail %v out of (0,1)", p)
 	}
 	return OperatingPointTask{Req: req}, nil
 }
@@ -213,9 +228,9 @@ func (t OperatingPointTask) Run(ctx context.Context) (any, error) {
 	m := power.Default()
 	if r.MinPerformance != nil {
 		minPerf := *r.MinPerformance
-		choice, ok := m.MostEfficientPoint(minPerf, 400)
-		if !ok {
-			return nil, fmt.Errorf("no operating point delivers performance >= %v", minPerf)
+		choice, err := floorPoint(minPerf)
+		if err != nil {
+			return nil, err
 		}
 		return OperatingPointResponse{
 			MinPerformance:       minPerf,

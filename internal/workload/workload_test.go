@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -47,6 +48,33 @@ func TestByName(t *testing.T) {
 	}
 	if len(Names()) != 26 || len(NamesSorted()) != 26 {
 		t.Error("name lists wrong length")
+	}
+}
+
+// TestProfileCopiesAreIndependent pins that the profile table is built
+// once but never handed out: mutating what ByName or Profiles returned,
+// Reuse slice included, leaves the next lookup untouched.
+func TestProfileCopiesAreIndependent(t *testing.T) {
+	want, err := ByName("mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantReuse := append([]ReuseComponent(nil), want.Reuse...)
+
+	got, _ := ByName("mcf")
+	got.LoadFrac = 0.99
+	got.Reuse[0].Blocks = 1
+	got.Reuse = append(got.Reuse, ReuseComponent{Weight: 1, Blocks: 2})
+	all := Profiles()
+	for i := range all {
+		if all[i].Name == "mcf" {
+			all[i].Reuse[0].Weight = 0
+		}
+	}
+
+	again, _ := ByName("mcf")
+	if again.LoadFrac != want.LoadFrac || !reflect.DeepEqual(again.Reuse, wantReuse) {
+		t.Fatalf("a caller's mutation leaked into the table: got %+v, want %+v", again, want)
 	}
 }
 
@@ -108,6 +136,25 @@ func TestProfileCheckRejects(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, tc.wantErr)
 			}
 		})
+	}
+}
+
+// TestGeneratorResetMatchesNew pins the contract the dvfs explorer's
+// generator reuse rests on: a used generator, Reset to a seed, emits
+// exactly the stream a new generator for that seed does.
+func TestGeneratorResetMatchesNew(t *testing.T) {
+	for _, name := range []string{"gcc", "swim", "mcf"} {
+		p, _ := ByName(name)
+		want := trace.Collect(MustNewGenerator(p, 11), 20000)
+		g := MustNewGenerator(p, 12)
+		trace.Collect(g, 30000)
+		g.Reset(11)
+		got := trace.Collect(g, 20000)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: instr %d after Reset differs from a new generator", name, i)
+			}
+		}
 	}
 }
 
