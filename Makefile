@@ -32,14 +32,14 @@ bench-gate:
 	$(GO) run ./cmd/vccmin-bench -out BENCH_ci.json
 
 # The differential equivalence suites under the race detector: the frozen
-# pre-optimization reference implementations (dense fault-map generation,
-# oracle DP, probe measurement, frontier marking, the build-per-run
-# explorer, the naive row-wise query evaluator, the rebuild-per-probe
-# fleet prober, the comparison sort of die fault populations) held
+# pre-optimization reference implementations (oracle DP, probe
+# measurement, frontier marking, the build-per-run explorer, the naive
+# row-wise query evaluator, the rebuild-per-probe fleet prober, the
+# comparison sort of die fault populations) held
 # byte-identical to the optimized hot paths, plus the Reset-equals-Build
 # contract the explorer's machine reuse rests on.
 diff-race:
-	$(GO) test -race -run 'Differential|ProbeCacheHit|MarkFrontierMatchesRebuild|FrontierSet' ./internal/faults ./internal/dvfs ./internal/colstore ./internal/population ./internal/sim
+	$(GO) test -race -run 'Differential|ProbeCacheHit|MarkFrontierMatchesRebuild|FrontierSet' ./internal/dvfs ./internal/colstore ./internal/population ./internal/sim
 
 # The end-to-end benchmark's own tests. e2ebench is a separate module
 # (it imports this one through a replace directive), so ./... at the

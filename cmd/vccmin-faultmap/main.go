@@ -3,6 +3,12 @@
 // and per-set associativity, word-disable fitness, and the incremental
 // word-disable pair classification.
 //
+// Maps are drawn on the library's sparse-v1 stream: the single map at
+// -seed S is vccmin.NewFaultMap(g, pfail, S), and the -trials N summary
+// draws trial i at DeriveSeed(S, "capacity-trial", i) — /v1/capacity's
+// trial seeds — so at -cluster 1 its block-disable mean is that route's
+// measured_capacity.
+//
 // Usage:
 //
 //	vccmin-faultmap -pfail 0.001 -seed 42
@@ -13,8 +19,8 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
+	"strconv"
 
 	"vccmin/internal/clirun"
 	"vccmin/internal/core"
@@ -61,8 +67,7 @@ func main() {
 		return
 	}
 	if *trials <= 1 {
-		rng := rand.New(rand.NewSource(*seed))
-		m := draw(g, *pfail, rng, *cluster)
+		m := draw(g, *pfail, *seed, *cluster)
 		if *dump != "" {
 			f, err := os.Create(*dump)
 			if err != nil {
@@ -82,14 +87,12 @@ func main() {
 		report(m, *pfail)
 		return
 	}
-	monteCarlo(g, *pfail, *seed, *cluster, *trials)
+	printMonteCarlo(g, *pfail, *cluster, monteCarlo(g, *pfail, *seed, *cluster, *trials))
 }
 
-func draw(g geom.Geometry, pfail float64, rng *rand.Rand, cluster int) *faults.Map {
-	if cluster > 1 {
-		return faults.GenerateClustered(g, 32, faults.ClusterParams{Pfail: pfail, Size: cluster}, rng)
-	}
-	return faults.Generate(g, 32, pfail, rng)
+// draw returns the map at seed; cluster <= 1 is the uniform model.
+func draw(g geom.Geometry, pfail float64, seed int64, cluster int) *faults.Map {
+	return faults.GenerateClustered(g, 32, faults.ClusterParams{Pfail: pfail, Size: cluster}, seed)
 }
 
 func report(m *faults.Map, pfail float64) {
@@ -123,29 +126,43 @@ func report(m *faults.Map, pfail float64) {
 	fmt.Printf("\n%s\n", bf)
 }
 
-func monteCarlo(g geom.Geometry, pfail float64, seed int64, cluster, trials int) {
-	rng := rand.New(rand.NewSource(seed))
+// mcResult is a Monte Carlo run's outcome: the block-disable capacity
+// summary plus the word-disable and associativity tallies.
+type mcResult struct {
+	Capacity stats.Summary
+	Trials   int
+	Unfit    int // maps word-disable cannot run on
+	MinWays  int // fewest enabled ways of any set in any map
+}
+
+// monteCarlo draws trials maps, trial i at /v1/capacity's trial seed
+// DeriveSeed(seed, "capacity-trial", i), and tallies them in trial order.
+func monteCarlo(g geom.Geometry, pfail float64, seed int64, cluster, trials int) mcResult {
+	r := mcResult{Trials: trials, MinWays: g.Ways}
 	caps := make([]float64, 0, trials)
-	unfit := 0
-	minWays := g.Ways
 	for i := 0; i < trials; i++ {
-		m := draw(g, pfail, rng, cluster)
+		m := draw(g, pfail, faults.DeriveSeed(seed, "capacity-trial", strconv.Itoa(i)), cluster)
 		d := core.BuildBlockDisable(m)
 		caps = append(caps, d.CapacityFraction())
 		if !core.EvaluateWordDisable(m, core.ReferenceWordDisable()).Fit {
-			unfit++
+			r.Unfit++
 		}
-		if w := d.MinSetWays(); w < minWays {
-			minWays = w
+		if w := d.MinSetWays(); w < r.MinWays {
+			r.MinWays = w
 		}
 	}
-	s := stats.Summarize(caps)
-	fmt.Printf("%d maps of %v at pfail=%g (cluster=%d)\n", trials, g, pfail, cluster)
+	r.Capacity = stats.Summarize(caps)
+	return r
+}
+
+func printMonteCarlo(g geom.Geometry, pfail float64, cluster int, r mcResult) {
+	s := r.Capacity
+	fmt.Printf("%d maps of %v at pfail=%g (cluster=%d)\n", r.Trials, g, pfail, cluster)
 	fmt.Printf("block-disable capacity: mean=%.1f%% sd=%.2fpp min=%.1f%% max=%.1f%%\n",
 		100*s.Mean, 100*s.StdDev, 100*s.Min, 100*s.Max)
 	mean, sd := prob.CapacityMeanStd(g.Blocks(), g.CellsPerBlock(), pfail)
 	fmt.Printf("analytic (Eqs. 2-3):    mean=%.1f%% sd=%.2fpp\n", 100*mean, 100*sd)
-	fmt.Printf("worst set associativity seen: %d ways\n", minWays)
+	fmt.Printf("worst set associativity seen: %d ways\n", r.MinWays)
 	fmt.Printf("word-disable whole-cache failures: %d/%d (analytic %.2e)\n",
-		unfit, trials, prob.WordDisableWholeCacheFailProb(g.Blocks(), g.BlockBytes, 32, 8, pfail))
+		r.Unfit, r.Trials, prob.WordDisableWholeCacheFailProb(g.Blocks(), g.BlockBytes, 32, 8, pfail))
 }

@@ -114,7 +114,7 @@ func TestWriteDirtyWriteback(t *testing.T) {
 func TestDisabledWaysNeverAllocate(t *testing.T) {
 	mem := &Memory{Latency: 10}
 	c := newL1(t, refGeom, mem)
-	fm := faults.Generate(refGeom, 32, 0.002, rand.New(rand.NewSource(4)))
+	fm := faults.GenerateMapSparse(refGeom, 32, 0.002, 4)
 	c.Enable = core.BuildBlockDisable(fm)
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 20000; i++ {

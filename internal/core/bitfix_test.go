@@ -67,7 +67,7 @@ func TestBitFixFailureRateMatchesAnalysis(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	failures := 0
 	for i := 0; i < trials; i++ {
-		m := faults.Generate(refGeom, 32, pfail, rng)
+		m := faults.GenerateMapSparse(refGeom, 32, pfail, rng.Int63())
 		if !EvaluateBitFix(m, cfg).Fit {
 			failures++
 		}

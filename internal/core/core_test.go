@@ -46,7 +46,7 @@ func TestFullyEnabled(t *testing.T) {
 }
 
 func TestBlockDisableMatchesFaultMap(t *testing.T) {
-	m := faults.Generate(refGeom, 32, 0.002, rand.New(rand.NewSource(2)))
+	m := faults.GenerateMapSparse(refGeom, 32, 0.002, 2)
 	d := BuildBlockDisable(m)
 	for set := 0; set < refGeom.Sets(); set++ {
 		for way := 0; way < refGeom.Ways; way++ {
@@ -81,7 +81,7 @@ func TestBlockDisableTagFaultDisables(t *testing.T) {
 }
 
 func TestWaysHistogram(t *testing.T) {
-	m := faults.Generate(refGeom, 32, 0.001, rand.New(rand.NewSource(9)))
+	m := faults.GenerateMapSparse(refGeom, 32, 0.001, 9)
 	d := BuildBlockDisable(m)
 	h := d.WaysHistogram()
 	if len(h) != refGeom.Ways+1 {
@@ -108,7 +108,7 @@ func TestBlockDisableCapacityMatchesEq3Distribution(t *testing.T) {
 	sum := 0.0
 	atLeastHalf := 0
 	for i := 0; i < trials; i++ {
-		d := BuildBlockDisable(faults.Generate(refGeom, 32, 0.001, rng))
+		d := BuildBlockDisable(faults.GenerateMapSparse(refGeom, 32, 0.001, rng.Int63()))
 		c := d.CapacityFraction()
 		sum += c
 		if c > 0.5 {
@@ -182,7 +182,7 @@ func TestWordDisableFailureRateMatchesEq4(t *testing.T) {
 	cfg := ReferenceWordDisable()
 	failures := 0
 	for i := 0; i < trials; i++ {
-		m := faults.Generate(refGeom, 32, pfail, rng)
+		m := faults.GenerateMapSparse(refGeom, 32, pfail, rng.Int63())
 		if !EvaluateWordDisable(m, cfg).Fit {
 			failures++
 		}
@@ -243,7 +243,7 @@ func TestIncrementalWDMatchesEq6(t *testing.T) {
 		cfg := ReferenceWordDisable()
 		sum := 0.0
 		for i := 0; i < trials; i++ {
-			m := faults.Generate(refGeom, 32, pfail, rng)
+			m := faults.GenerateMapSparse(refGeom, 32, pfail, rng.Int63())
 			sum += EvaluateIncrementalWD(m, cfg).CapacityFraction()
 		}
 		got := sum / trials
@@ -257,7 +257,7 @@ func TestIncrementalWDMatchesEq6(t *testing.T) {
 func TestIncrementalNeverWholeCacheFailure(t *testing.T) {
 	// Even at brutal pfail the incremental scheme keeps some capacity
 	// accounting (pairs disabled individually, never the whole cache).
-	m := faults.Generate(refGeom, 32, 0.02, rand.New(rand.NewSource(23)))
+	m := faults.GenerateMapSparse(refGeom, 32, 0.02, 23)
 	res := EvaluateIncrementalWD(m, ReferenceWordDisable())
 	total := res.FullPairs + res.HalfPairs + res.DisabledPairs
 	if total != refGeom.Blocks()/2 {
@@ -283,7 +283,7 @@ func TestVictimUsableEntries(t *testing.T) {
 func TestCapacityInvariants(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		m := faults.Generate(refGeom, 32, 0.003, rng)
+		m := faults.GenerateMapSparse(refGeom, 32, 0.003, rng.Int63())
 		d := BuildBlockDisable(m)
 		cap := d.CapacityFraction()
 		inc := EvaluateIncrementalWD(m, ReferenceWordDisable()).CapacityFraction()

@@ -16,10 +16,8 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"math/rand"
 
 	"vccmin/internal/geom"
-	"vccmin/internal/lfrand"
 )
 
 // BlockFaults records the faulty cells of one block frame.
@@ -67,12 +65,12 @@ type Map struct {
 	Total    int // total faulty cells
 
 	// faulty is a word-packed bitset with bit b set iff Blocks[b] contains
-	// at least one faulty cell. It is the dense-path index: FaultyBlocks is
+	// at least one faulty cell. It is the block-level index: FaultyBlocks is
 	// a popcount over it and core.BuildBlockDisable reads whole sets from
 	// it 64 blocks at a time, instead of either walking the ~80-byte
 	// BlockFaults records block by block. Every in-package generator keeps
-	// it in sync (addFault, the sparse and dense inject kernels, the
-	// sampler clears, serialization); code that mutates Blocks directly
+	// it in sync (addFault, the sparse inject kernel, the sampler
+	// clears, serialization); code that mutates Blocks directly
 	// must call ReindexBlocks afterwards. It is nil only for a Map literal
 	// assembled outside the package, for which the accessors fall back to
 	// scanning Blocks.
@@ -89,99 +87,53 @@ func NewEmpty(g geom.Geometry, wordBits int) *Map {
 	}
 }
 
-// Generate draws a fault map with each of the array's d*k cells faulty
-// independently with probability pfail. It uses geometric skipping, so cost
-// is proportional to the number of faults, not the number of cells.
-func Generate(g geom.Geometry, wordBits int, pfail float64, rng *rand.Rand) *Map {
-	m := NewEmpty(g, wordBits)
-	if pfail <= 0 {
-		return m
-	}
-	total := g.TotalCells()
-	if pfail >= 1 {
-		for i := 0; i < total; i++ {
-			m.addFault(i)
-		}
-		return m
-	}
-	logQ := math.Log1p(-pfail)
-	// Geometric skipping: the gap to the next faulty cell is geometric.
-	cell := -1
-	for {
-		u := rng.Float64()
-		if u == 0 {
-			u = math.SmallestNonzeroFloat64
-		}
-		cell += 1 + int(math.Log(u)/logQ)
-		if cell >= total || cell < 0 { // < 0 guards int overflow on absurd skips
-			return m
-		}
-		m.addFault(cell)
-	}
-}
-
-// InjectExact places exactly n faults in distinct cells chosen uniformly
-// at random without replacement — the urn experiment behind Eq. 1.
-func InjectExact(g geom.Geometry, wordBits, n int, rng *rand.Rand) *Map {
-	m := NewEmpty(g, wordBits)
-	total := g.TotalCells()
-	if n >= total {
-		for i := 0; i < total; i++ {
-			m.addFault(i)
-		}
-		return m
-	}
-	// Floyd's algorithm for a uniform n-subset of [0, total).
-	chosen := make(map[int]bool, n)
-	for j := total - n; j < total; j++ {
-		t := rng.Intn(j + 1)
-		if chosen[t] {
-			t = j
-		}
-		chosen[t] = true
-		m.addFault(t)
-	}
-	return m
-}
-
 // ClusterParams configures the clustered (non-uniform) fault model — the
-// paper's future-work extension. Faults arrive as clusters whose centers
+// paper's future-work extension. Faults arrive as clusters whose starts
 // are uniform; each cluster marks Size consecutive cells faulty.
 type ClusterParams struct {
-	Pfail float64 // overall expected fraction of faulty cells
+	Pfail float64 // fault budget: cluster starts arrive at rate Pfail/Size per cell
 	Size  int     // cells per cluster (1 = the uniform model)
 }
 
-// GenerateClustered draws a fault map under the clustered model. The
-// expected number of faulty cells matches Generate at the same pfail, but
-// the faults are spatially correlated.
-func GenerateClustered(g geom.Geometry, wordBits int, p ClusterParams, rng *rand.Rand) *Map {
+// GenerateClustered draws a fault map under the clustered model on the
+// sparse-v1 stream seeded by seed. Cluster starts are a Bernoulli
+// (Pfail/Size) process over the cells, drawn by geometric gaps; each
+// start marks the Size cells from it faulty, clipped at the array's end.
+// Overlapping clusters merge, so every faulty cell is marked once and the
+// distinct-fault rate is 1-(1-Pfail/Size)^Size (away from the array's
+// end) — about Pfail only when Pfail is small. Size <= 1 is the uniform
+// model: the map equals GenerateMapSparse at the same seed.
+func GenerateClustered(g geom.Geometry, wordBits int, p ClusterParams, seed int64) *Map {
 	if p.Size <= 1 {
-		return Generate(g, wordBits, p.Pfail, rng)
+		return GenerateMapSparse(g, wordBits, p.Pfail, seed)
 	}
 	m := NewEmpty(g, wordBits)
 	if p.Pfail <= 0 {
 		return m
 	}
 	total := g.TotalCells()
-	centerRate := p.Pfail / float64(p.Size)
-	if centerRate >= 1 {
-		centerRate = 1
-	}
-	logQ := math.Log1p(-centerRate)
-	cell := -1
+	// At rate 1, invLogQ is -0 and every gap is one cell: a cluster
+	// starts at every cell.
+	invLogQ := 1 / math.Log1p(-min(p.Pfail/float64(p.Size), 1))
+	st := sparseStream{state: uint64(seed)}
+	cell, next := -1, 0 // next: the first cell no cluster has marked yet
 	for {
-		u := rng.Float64()
+		u := st.float64()
 		if u == 0 {
-			u = math.SmallestNonzeroFloat64
+			u = 0x1p-53
 		}
-		cell += 1 + int(math.Log(u)/logQ)
-		if cell >= total || cell < 0 {
+		cell += 1 + int(fastLog(u)*invLogQ)
+		if cell >= total || cell < 0 { // < 0 guards int overflow on absurd skips
 			return m
 		}
-		for i := 0; i < p.Size && cell+i < total; i++ {
-			m.addFault(cell + i)
+		end := total
+		if p.Size < total-cell {
+			end = cell + p.Size
 		}
+		for c := max(cell, next); c < end; c++ {
+			m.addFault(c)
+		}
+		next = end
 	}
 }
 
@@ -320,29 +272,4 @@ func (m *Map) String() string {
 // one for the instruction cache and another for the data cache").
 type Pair struct {
 	I, D *Map
-}
-
-// GeneratePair draws an I/D map pair from a single seed. The draw runs on
-// the dense fast path (see dense.go) and is byte-identical to seeding a
-// math/rand source and calling Generate for I then D.
-func GeneratePair(ig, dg geom.Geometry, wordBits int, pfail float64, seed int64) Pair {
-	var rng lfrand.Source
-	rng.Seed(seed)
-	i := NewEmpty(ig, wordBits)
-	denseInject(i, pfail, &rng, nil, false)
-	d := NewEmpty(dg, wordBits)
-	denseInject(d, pfail, &rng, nil, false)
-	return Pair{I: i, D: d}
-}
-
-// GenerateMap draws a single uniform fault map from one seed — the
-// one-array analogue of GeneratePair. The map equals the I side of
-// GeneratePair at the same seed (both consume the same rng prefix), so
-// existing seeded results are unchanged.
-func GenerateMap(g geom.Geometry, wordBits int, pfail float64, seed int64) *Map {
-	m := NewEmpty(g, wordBits)
-	var rng lfrand.Source
-	rng.Seed(seed)
-	denseInject(m, pfail, &rng, nil, false)
-	return m
 }

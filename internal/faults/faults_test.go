@@ -3,6 +3,7 @@ package faults
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -11,6 +12,30 @@ import (
 )
 
 var refGeom = geom.MustNew(32*1024, 8, 64)
+
+// injectExact places exactly n faults in distinct cells chosen uniformly
+// at random without replacement — the urn experiment behind Eq. 1.
+func injectExact(g geom.Geometry, wordBits, n int, rng *rand.Rand) *Map {
+	m := NewEmpty(g, wordBits)
+	total := g.TotalCells()
+	if n >= total {
+		for i := 0; i < total; i++ {
+			m.addFault(i)
+		}
+		return m
+	}
+	// Floyd's algorithm for a uniform n-subset of [0, total).
+	chosen := make(map[int]bool, n)
+	for j := total - n; j < total; j++ {
+		t := rng.Intn(j + 1)
+		if chosen[t] {
+			t = j
+		}
+		chosen[t] = true
+		m.addFault(t)
+	}
+	return m
+}
 
 func TestEmptyMap(t *testing.T) {
 	m := NewEmpty(refGeom, 32)
@@ -24,10 +49,10 @@ func TestEmptyMap(t *testing.T) {
 
 func TestGenerateExtremes(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	if m := Generate(refGeom, 32, 0, rng); m.Total != 0 {
+	if m := GenerateMapSparse(refGeom, 32, 0, rng.Int63()); m.Total != 0 {
 		t.Errorf("pfail=0 produced %d faults", m.Total)
 	}
-	m := Generate(refGeom, 32, 1, rng)
+	m := GenerateMapSparse(refGeom, 32, 1, rng.Int63())
 	if m.Total != refGeom.TotalCells() {
 		t.Errorf("pfail=1 produced %d faults, want %d", m.Total, refGeom.TotalCells())
 	}
@@ -37,8 +62,8 @@ func TestGenerateExtremes(t *testing.T) {
 }
 
 func TestGenerateDeterministic(t *testing.T) {
-	a := Generate(refGeom, 32, 0.001, rand.New(rand.NewSource(42)))
-	b := Generate(refGeom, 32, 0.001, rand.New(rand.NewSource(42)))
+	a := GenerateMapSparse(refGeom, 32, 0.001, 42)
+	b := GenerateMapSparse(refGeom, 32, 0.001, 42)
 	if a.Total != b.Total {
 		t.Fatalf("same seed, different fault counts: %d vs %d", a.Total, b.Total)
 	}
@@ -47,7 +72,7 @@ func TestGenerateDeterministic(t *testing.T) {
 			t.Fatalf("same seed, block %d differs", i)
 		}
 	}
-	c := Generate(refGeom, 32, 0.001, rand.New(rand.NewSource(43)))
+	c := GenerateMapSparse(refGeom, 32, 0.001, 43)
 	same := true
 	for i := range a.Blocks {
 		if a.Blocks[i] != c.Blocks[i] {
@@ -67,7 +92,7 @@ func TestGenerateMatchesBernoulliRate(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	total := 0
 	for i := 0; i < trials; i++ {
-		total += Generate(refGeom, 32, pfail, rng).Total
+		total += GenerateMapSparse(refGeom, 32, pfail, rng.Int63()).Total
 	}
 	want := pfail * float64(refGeom.TotalCells()) * trials
 	sd := math.Sqrt(want) // Poisson-ish
@@ -83,7 +108,7 @@ func TestMonteCarloMatchesEq2(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	sum := 0.0
 	for i := 0; i < trials; i++ {
-		m := Generate(refGeom, 32, pfail, rng)
+		m := GenerateMapSparse(refGeom, 32, pfail, rng.Int63())
 		sum += float64(m.FaultyBlocks()) / float64(len(m.Blocks))
 	}
 	got := sum / trials
@@ -101,9 +126,9 @@ func TestInjectExactMatchesEq1(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	sum := 0.0
 	for i := 0; i < trials; i++ {
-		m := InjectExact(refGeom, 32, n, rng)
+		m := injectExact(refGeom, 32, n, rng)
 		if m.Total != n {
-			t.Fatalf("InjectExact placed %d faults, want %d", m.Total, n)
+			t.Fatalf("injectExact placed %d faults, want %d", m.Total, n)
 		}
 		sum += float64(m.FaultyBlocks())
 	}
@@ -115,7 +140,7 @@ func TestInjectExactMatchesEq1(t *testing.T) {
 }
 
 func TestInjectExactAllCells(t *testing.T) {
-	m := InjectExact(refGeom, 32, refGeom.TotalCells()+5, rand.New(rand.NewSource(1)))
+	m := injectExact(refGeom, 32, refGeom.TotalCells()+5, rand.New(rand.NewSource(1)))
 	if m.Total != refGeom.TotalCells() {
 		t.Errorf("overfull injection placed %d faults, want %d", m.Total, refGeom.TotalCells())
 	}
@@ -124,7 +149,7 @@ func TestInjectExactAllCells(t *testing.T) {
 func TestCellAccounting(t *testing.T) {
 	// Faulty cells counted per block must sum to the map total, and word
 	// masks must stay within the block's word count.
-	m := Generate(refGeom, 32, 0.005, rand.New(rand.NewSource(5)))
+	m := GenerateMapSparse(refGeom, 32, 0.005, 5)
 	sum := 0
 	wordsPerBlock := m.WordsPerBlock()
 	for _, b := range m.Blocks {
@@ -182,8 +207,8 @@ func TestSubblockFaultyWords(t *testing.T) {
 
 func TestGeneratePairDeterministic(t *testing.T) {
 	ig := geom.MustNew(32*1024, 8, 64)
-	a := GeneratePair(ig, refGeom, 32, 0.001, 99)
-	b := GeneratePair(ig, refGeom, 32, 0.001, 99)
+	a := GeneratePairSparse(ig, refGeom, 32, 0.001, 99)
+	b := GeneratePairSparse(ig, refGeom, 32, 0.001, 99)
 	if a.I.Total != b.I.Total || a.D.Total != b.D.Total {
 		t.Error("same seed produced different pairs")
 	}
@@ -198,8 +223,8 @@ func TestClusteredMatchesRate(t *testing.T) {
 	totalU, totalC := 0, 0
 	const trials = 40
 	for i := 0; i < trials; i++ {
-		totalU += Generate(refGeom, 32, pfail, rng).Total
-		totalC += GenerateClustered(refGeom, 32, ClusterParams{Pfail: pfail, Size: 8}, rng).Total
+		totalU += GenerateMapSparse(refGeom, 32, pfail, rng.Int63()).Total
+		totalC += GenerateClustered(refGeom, 32, ClusterParams{Pfail: pfail, Size: 8}, rng.Int63()).Total
 	}
 	// Clustered model should deliver roughly the same fault rate.
 	ratio := float64(totalC) / float64(totalU)
@@ -216,8 +241,8 @@ func TestClusteredConcentratesFaults(t *testing.T) {
 	rngC := rand.New(rand.NewSource(31))
 	blocksU, blocksC := 0, 0
 	for i := 0; i < 40; i++ {
-		blocksU += Generate(refGeom, 32, pfail, rngU).FaultyBlocks()
-		blocksC += GenerateClustered(refGeom, 32, ClusterParams{Pfail: pfail, Size: 8}, rngC).FaultyBlocks()
+		blocksU += GenerateMapSparse(refGeom, 32, pfail, rngU.Int63()).FaultyBlocks()
+		blocksC += GenerateClustered(refGeom, 32, ClusterParams{Pfail: pfail, Size: 8}, rngC.Int63()).FaultyBlocks()
 	}
 	if blocksC >= blocksU {
 		t.Errorf("clustered faults hit %d blocks vs uniform %d; clustering should concentrate", blocksC, blocksU)
@@ -225,19 +250,64 @@ func TestClusteredConcentratesFaults(t *testing.T) {
 }
 
 func TestClusterSizeOneIsUniform(t *testing.T) {
-	a := GenerateClustered(refGeom, 32, ClusterParams{Pfail: 0.001, Size: 1}, rand.New(rand.NewSource(8)))
-	b := Generate(refGeom, 32, 0.001, rand.New(rand.NewSource(8)))
-	for i := range a.Blocks {
-		if a.Blocks[i] != b.Blocks[i] {
-			t.Fatal("cluster size 1 should match the uniform generator exactly")
+	a := GenerateClustered(refGeom, 32, ClusterParams{Pfail: 0.001, Size: 1}, 8)
+	b := GenerateMapSparse(refGeom, 32, 0.001, 8)
+	if !reflect.DeepEqual(a, b) {
+		t.Fatal("cluster size 1 should match the uniform generator exactly")
+	}
+}
+
+func TestClusteredOverlapsCountOnce(t *testing.T) {
+	// At high pfail clusters overlap constantly; each faulty cell must
+	// still be counted once, so no block holds more faulty cells than it
+	// has cells and the map total stays within the array.
+	k := refGeom.CellsPerBlock()
+	for _, pfail := range []float64{0.5, 0.999} {
+		for seed := int64(1); seed <= 3; seed++ {
+			m := GenerateClustered(refGeom, 32, ClusterParams{Pfail: pfail, Size: 8}, seed)
+			if m.Total > refGeom.TotalCells() {
+				t.Fatalf("pfail=%v seed=%d: %d faulty cells in a %d-cell array", pfail, seed, m.Total, refGeom.TotalCells())
+			}
+			sum := 0
+			for i, b := range m.Blocks {
+				if b.Cells > k {
+					t.Fatalf("pfail=%v seed=%d: block %d has %d faulty cells of %d", pfail, seed, i, b.Cells, k)
+				}
+				sum += b.Cells
+			}
+			if sum != m.Total {
+				t.Fatalf("pfail=%v seed=%d: per-block cells sum %d != total %d", pfail, seed, sum, m.Total)
+			}
 		}
+	}
+}
+
+func TestClusteredDistinctRate(t *testing.T) {
+	// Merged clusters cover a cell with probability 1-(1-pfail/Size)^Size,
+	// well below pfail once pfail is large. One map at these rates holds
+	// tens of thousands of clusters, so its rate sits within 2%.
+	for _, pfail := range []float64{0.5, 0.999} {
+		const size = 8
+		want := 1 - math.Pow(1-pfail/size, size)
+		m := GenerateClustered(refGeom, 32, ClusterParams{Pfail: pfail, Size: size}, 17)
+		got := float64(m.Total) / float64(refGeom.TotalCells())
+		if math.Abs(got-want) > 0.02*want {
+			t.Errorf("pfail=%v: distinct-fault rate %v, want ≈%v", pfail, got, want)
+		}
+	}
+}
+
+func TestClusteredSaturates(t *testing.T) {
+	m := GenerateClustered(refGeom, 32, ClusterParams{Pfail: 16, Size: 8}, 1)
+	if m.Total != refGeom.TotalCells() {
+		t.Fatalf("cluster rate 1 marked %d cells, want all %d", m.Total, refGeom.TotalCells())
 	}
 }
 
 func TestCapacityFractionInRange(t *testing.T) {
 	f := func(seed int64, rawP float64) bool {
 		p := math.Abs(math.Mod(rawP, 0.01))
-		m := Generate(refGeom, 32, p, rand.New(rand.NewSource(seed)))
+		m := GenerateMapSparse(refGeom, 32, p, seed)
 		c := m.CapacityFraction()
 		return c >= 0 && c <= 1
 	}

@@ -63,9 +63,13 @@ func Read(r io.Reader) (*Map, error) {
 		faulty:   make([]uint64, (len(f.Blocks)+63)/64),
 	}
 	sum := 0
+	k := f.Geometry.CellsPerBlock()
 	for i, b := range m.Blocks {
 		if b.Cells < 0 {
 			return nil, fmt.Errorf("faults: block %d has negative cell count", i)
+		}
+		if b.Cells > k {
+			return nil, fmt.Errorf("faults: block %d has %d faulty cells, more than its %d cells", i, b.Cells, k)
 		}
 		if b.Cells > 0 {
 			m.faulty[i>>6] |= 1 << uint(i&63)

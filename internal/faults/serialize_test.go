@@ -2,13 +2,12 @@ package faults
 
 import (
 	"bytes"
-	"math/rand"
 	"strings"
 	"testing"
 )
 
 func TestWriteReadRoundTrip(t *testing.T) {
-	orig := Generate(refGeom, 32, 0.001, rand.New(rand.NewSource(77)))
+	orig := GenerateMapSparse(refGeom, 32, 0.001, 77)
 	var buf bytes.Buffer
 	if err := orig.Write(&buf); err != nil {
 		t.Fatal(err)
@@ -28,7 +27,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 }
 
 func TestReadRejectsCorruptInputs(t *testing.T) {
-	orig := Generate(refGeom, 32, 0.001, rand.New(rand.NewSource(78)))
+	orig := GenerateMapSparse(refGeom, 32, 0.001, 78)
 	var buf bytes.Buffer
 	if err := orig.Write(&buf); err != nil {
 		t.Fatal(err)
@@ -46,6 +45,17 @@ func TestReadRejectsCorruptInputs(t *testing.T) {
 			t.Errorf("%s: Read accepted corrupt input", name)
 		}
 	}
+	// A block with more faulty cells than cells, total kept consistent.
+	over := NewEmpty(refGeom, 32)
+	over.Blocks[0].Cells = refGeom.CellsPerBlock() + 1
+	over.Total = over.Blocks[0].Cells
+	var ob bytes.Buffer
+	if err := over.Write(&ob); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Read(&ob); err == nil {
+		t.Error("Read accepted a block with more faulty cells than cells")
+	}
 	// Truncated block list.
 	short := strings.Replace(valid, `"total"`, `"totalx"`, 1) // unknown key, total=0 then
 	if _, err := Read(strings.NewReader(short)); err == nil && orig.Total != 0 {
@@ -54,7 +64,7 @@ func TestReadRejectsCorruptInputs(t *testing.T) {
 }
 
 func TestRoundTripPreservesSchemeDecisions(t *testing.T) {
-	orig := Generate(refGeom, 32, 0.002, rand.New(rand.NewSource(79)))
+	orig := GenerateMapSparse(refGeom, 32, 0.002, 79)
 	var buf bytes.Buffer
 	if err := orig.Write(&buf); err != nil {
 		t.Fatal(err)

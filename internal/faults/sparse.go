@@ -1,17 +1,15 @@
 package faults
 
-// Sparse fault-map sampling — the fast path behind every Monte Carlo layer.
+// Sparse fault-map sampling — the "sparse-v1" stream, the one fault-draw
+// stream behind every map the program draws: the Monte Carlo layers, the
+// facade, the faultmap CLI and the clustered model.
 //
-// Generate already skips geometrically, so its cost is proportional to the
-// number of faults rather than the number of cells; what it still pays per
-// fault is math/rand's interface-dispatched draw, math.Log, and two 64-bit
-// integer divisions in addFault — and per map, a lagged-Fibonacci Seed that
-// touches ~607 words before the first draw plus a fresh Blocks allocation.
-// At the paper's regime (pfail 1e-4..1e-3, a few hundred faults per L1
-// map) those fixed and per-fault costs dominate end-to-end Monte Carlo
-// time.
-//
-// The sparse path removes each of them:
+// Maps are drawn by geometric gap sampling, so a draw costs time
+// proportional to the number of faults, not the number of cells. At the
+// paper's regime (pfail 1e-4..1e-3, a few hundred faults per L1 map) what
+// remains — the per-fault draw, log and block-index arithmetic and the
+// per-map seeding and allocation — dominates end-to-end Monte Carlo time,
+// so the path keeps each of them small:
 //
 //   - the RNG is a SplitMix64 stream (O(1) seeding, three multiplies per
 //     draw — the same mixer DeriveSeed uses);
@@ -25,12 +23,9 @@ package faults
 //     blocks the previous draw marked faulty, so steady-state drawing is
 //     allocation-free and clearing is O(faults), not O(blocks).
 //
-// The sparse generators produce the exact same *Map / BlockFaults shape as
-// Generate and the same per-cell Bernoulli(pfail) marginal distribution,
-// but a DIFFERENT random stream: a map drawn sparse at some seed is not
-// byte-identical to the dense map at that seed. Within the sparse family
-// the streams are deterministic, and GenerateMapSparse equals the I side
-// of GeneratePairSparse at the same seed, mirroring the dense invariant.
+// Every map is a pure function of its seed, and GenerateMapSparse equals
+// the I side of GeneratePairSparse at the same seed (the I map consumes
+// the stream prefix).
 
 import (
 	"math"
@@ -185,10 +180,9 @@ func injectSparse(m *Map, pfail float64, st *sparseStream, dirty []int32, track 
 	}
 }
 
-// GenerateMapSparse draws a uniform fault map from one seed on the sparse
-// fast path. Same output shape and marginal distribution as GenerateMap,
-// different (sparse-family) random stream; the map equals the I side of
-// GeneratePairSparse at the same seed.
+// GenerateMapSparse draws a uniform fault map from one seed: each cell is
+// faulty independently with probability pfail. The map equals the I side
+// of GeneratePairSparse at the same seed.
 func GenerateMapSparse(g geom.Geometry, wordBits int, pfail float64, seed int64) *Map {
 	m := NewEmpty(g, wordBits)
 	st := sparseStream{state: uint64(seed)}
@@ -196,8 +190,7 @@ func GenerateMapSparse(g geom.Geometry, wordBits int, pfail float64, seed int64)
 	return m
 }
 
-// GeneratePairSparse draws an I/D map pair from a single seed on the
-// sparse fast path — the sparse analogue of GeneratePair (the I map
+// GeneratePairSparse draws an I/D map pair from a single seed (the I map
 // consumes the stream prefix, the D map the suffix).
 func GeneratePairSparse(ig, dg geom.Geometry, wordBits int, pfail float64, seed int64) Pair {
 	st := sparseStream{state: uint64(seed)}

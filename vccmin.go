@@ -44,7 +44,6 @@ package vccmin
 import (
 	"context"
 	"io"
-	"math/rand"
 
 	"vccmin/internal/colstore"
 	"vccmin/internal/core"
@@ -149,11 +148,14 @@ func NewFaultPair(ig, dg Geometry, pfail float64, seed int64) *FaultPair {
 type FaultSampler = faults.Sampler
 
 // NewClusteredFaultMap draws a fault map under the clustered (non-uniform)
-// fault model — the paper's future-work extension. clusterSize cells fail
-// together; the expected fault rate still equals pfail.
+// fault model — the paper's future-work extension — on the same seeded
+// stream as NewFaultMap. Clusters of clusterSize cells start at rate
+// pfail/clusterSize per cell and merge where they overlap, so the
+// distinct-fault rate is 1-(1-pfail/clusterSize)^clusterSize: about pfail
+// while pfail is small. clusterSize <= 1 equals NewFaultMap at the same
+// seed.
 func NewClusteredFaultMap(g Geometry, pfail float64, clusterSize int, seed int64) *FaultMap {
-	rng := rand.New(rand.NewSource(seed))
-	return faults.GenerateClustered(g, 32, faults.ClusterParams{Pfail: pfail, Size: clusterSize}, rng)
+	return faults.GenerateClustered(g, 32, faults.ClusterParams{Pfail: pfail, Size: clusterSize}, seed)
 }
 
 // BlockDisableMap is the per-set way-enable state derived from a fault map.
@@ -536,14 +538,6 @@ func MeasuredBlockDisableCapacity(g Geometry, pfail float64, trials int, seed in
 // GOMAXPROCS); the estimate is identical at every setting.
 func MeasuredBlockDisableCapacityWorkers(g Geometry, pfail float64, trials int, seed int64, workers int) float64 {
 	return experiments.MeasuredBlockDisableCapacityWorkers(g, pfail, trials, seed, workers)
-}
-
-// MeasuredBlockDisableCapacityDenseSerial is the dense-stream, serial
-// analogue of MeasuredBlockDisableCapacity: per-trial maps are
-// byte-identical to GenerateFaultMap at the derived trial seeds, drawn
-// through one reused buffer so steady-state trials allocate nothing.
-func MeasuredBlockDisableCapacityDenseSerial(g Geometry, pfail float64, trials int, seed int64) float64 {
-	return experiments.MeasuredBlockDisableCapacityDenseSerial(g, pfail, trials, seed)
 }
 
 // ---- Fleet-scale population modeling ----
